@@ -2,11 +2,14 @@
 
 State index 0 is sleep (zero-inflated truncated Gaussian emission),
 index 1 is wake (Gaussian emission); the labeling convention mu1 < mu2
-is enforced after fitting.  The forward-backward pass uses per-step
-normalization so posteriors come out normalized; Viterbi runs in pure
-log space with ties broken toward sleep.  Exhaustive path-enumeration
-oracles are included for short sequences and used by tests and the
-``verify`` command.
+is enforced after fitting.  The forward-backward pass uses Rabiner's
+per-step normalization, so posteriors come out normalized, and returns
+the expected transition counts summed over time rather than per-step
+pairwise posteriors; Viterbi runs in pure log space with ties broken
+toward sleep.  With two states, both recursions run as loops over plain
+Python floats read from and written to numpy arrays through
+``memoryview``s.  Exhaustive path-enumeration oracles are included for
+short sequences and used by tests and the ``verify`` command.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITER = 500
 _MIN_FIT_LENGTH = 10
 _BRUTE_FORCE_MAX_T = 16
+_MIN_OCCUPANCY = 1e-100
 
 
 @dataclass(frozen=True)
@@ -72,8 +76,12 @@ class FitReport:
 
 
 def _log_b(obs: LogSeries, params: HmmParams) -> np.ndarray:
-    """(T, 2) matrix of per-epoch log emission densities."""
-    return np.column_stack(
+    """(2, T) matrix of log emission densities: row 0 sleep, row 1 wake.
+
+    Each row is a contiguous float64 array, so the recursions below can
+    read it through a ``memoryview`` one Python float at a time.
+    """
+    return np.stack(
         [
             sleep_log_emission(obs.values, params.sleep),
             wake_log_emission(obs.values, params.wake),
@@ -82,42 +90,61 @@ def _log_b(obs: LogSeries, params: HmmParams) -> np.ndarray:
 
 
 def _forward_backward(obs: LogSeries, params: HmmParams):
-    """Scaled forward-backward pass.
+    """Scaled forward-backward pass (Rabiner's per-step normalization).
 
-    Returns (log_likelihood, gamma, xi) where gamma is (T, 2) state
-    posteriors and xi is (T-1, 2, 2) pairwise posteriors, each slice
-    normalized to sum 1.
+    Returns (log_likelihood, gamma, xi_sum): gamma is the (T, 2) array of
+    state posteriors and xi_sum the (2, 2) expected transition counts,
+    i.e. the pairwise posteriors P(s_t = i, s_t+1 = j) summed over t.
+    The two sequential recursions run over Python floats; xi_sum is one
+    vectorized step and no per-epoch (T-1, 2, 2) array is built.
     """
     logb = _log_b(obs, params)
-    T = logb.shape[0]
-    shift = logb.max(axis=1)
-    b = np.exp(logb - shift[:, None])
+    T = logb.shape[1]
+    shift = logb.max(axis=0)
+    b = np.exp(logb - shift)
     a = params.a
+    a00, a01, a10, a11 = a.ravel().tolist()
+    b0, b1 = memoryview(b[0]), memoryview(b[1])
 
-    alpha = np.empty((T, 2))
+    alpha = np.empty((2, T))
     c = np.empty(T)
-    alpha[0] = params.pi * b[0]
-    c[0] = alpha[0].sum()
-    alpha[0] /= c[0]
-    for t in range(1, T):
-        alpha[t] = (alpha[t - 1] @ a) * b[t]
-        c[t] = alpha[t].sum()
-        alpha[t] /= c[t]
+    al0, al1, cv = memoryview(alpha[0]), memoryview(alpha[1]), memoryview(c)
+    pi0, pi1 = params.pi.tolist()
+    try:
+        p0, p1 = pi0 * b0[0], pi1 * b1[0]
+        ct = p0 + p1
+        x0, x1 = p0 / ct, p1 / ct
+        al0[0], al1[0], cv[0] = x0, x1, ct
+        for t in range(1, T):
+            p0 = (x0 * a00 + x1 * a10) * b0[t]
+            p1 = (x0 * a01 + x1 * a11) * b1[t]
+            ct = p0 + p1
+            x0, x1 = p0 / ct, p1 / ct
+            al0[t], al1[t], cv[t] = x0, x1, ct
+    except ZeroDivisionError:
+        raise InputError(
+            "observations have zero probability under the parameters"
+        ) from None
     log_likelihood = float(np.sum(np.log(c)) + np.sum(shift))
 
-    beta = np.empty((T, 2))
-    beta[-1] = 1.0
-    for t in range(T - 2, -1, -1):
-        beta[t] = (a @ (b[t + 1] * beta[t + 1])) / c[t + 1]
+    beta = np.empty((2, T))
+    be0, be1 = memoryview(beta[0]), memoryview(beta[1])
+    z0 = z1 = 1.0
+    be0[T - 1] = be1[T - 1] = 1.0
+    for t in range(T - 1, 0, -1):
+        y0, y1, ct = b0[t] * z0, b1[t] * z1, cv[t]
+        z0, z1 = (a00 * y0 + a01 * y1) / ct, (a10 * y0 + a11 * y1) / ct
+        be0[t - 1], be1[t - 1] = z0, z1
 
-    gamma = alpha * beta
+    gamma = (alpha * beta).T
     gamma /= gamma.sum(axis=1, keepdims=True)
 
-    xi = np.empty((T - 1, 2, 2)) if T > 1 else np.empty((0, 2, 2))
-    for t in range(T - 1):
-        m = alpha[t][:, None] * a * (b[t + 1] * beta[t + 1])[None, :]
-        xi[t] = m / m.sum()
-    return log_likelihood, gamma, xi
+    # xi_t[i, j] = alpha_t[i] a[i, j] y_t+1[j] / norm_t with y = b * beta
+    y = (b[:, 1:] * beta[:, 1:]).T
+    head = alpha[:, :-1]
+    y /= ((head.T @ a) * y).sum(axis=1, keepdims=True)
+    xi_sum = a * (head @ y)
+    return log_likelihood, gamma, xi_sum
 
 
 def forward_log_likelihood(obs: LogSeries, params: HmmParams) -> float:
@@ -193,7 +220,7 @@ def baum_welch(
     converged = False
     iterations = 0
     for _ in range(max_iter + 1):
-        log_likelihood, gamma, xi = _forward_backward(obs, params)
+        log_likelihood, gamma, xi_sum = _forward_backward(obs, params)
         if trace and abs(log_likelihood - trace[-1]) <= tol * max(
             1.0, abs(trace[-1])
         ):
@@ -204,10 +231,13 @@ def baum_welch(
         if iterations >= max_iter:
             break
         # M-step
-        expected = xi.sum(axis=0)
-        occupancy = np.maximum(gamma[:-1].sum(axis=0), 1e-300)
-        a = expected / occupancy[:, None]
-        a /= np.maximum(a.sum(axis=1, keepdims=True), 1e-300)
+        occupancy = gamma[:-1].sum(axis=0)
+        a = xi_sum / np.maximum(occupancy, _MIN_OCCUPANCY)[:, None]
+        # a state (almost) never occupied before the last epoch has no
+        # expected transitions out of it: keep its previous row
+        kept = occupancy < _MIN_OCCUPANCY
+        a[kept] = params.a[kept]
+        a /= a.sum(axis=1, keepdims=True)
         try:
             sleep = fit_sleep_weighted(obs.values, gamma[:, 0], params.sleep)
             wake = fit_wake_weighted(obs.values, gamma[:, 1])
@@ -231,22 +261,41 @@ def baum_welch(
 
 
 def viterbi(obs: LogSeries, params: HmmParams) -> StateSequence:
-    """Most probable state path in log space; ties resolve toward sleep."""
+    """Most probable state path in log space; ties resolve toward sleep.
+
+    delta_t[j] = (delta_t-1[i] + log a[i, j]) + log b_t[j] is summed in
+    the same order as ``path_log_probability``, so the returned path
+    scores bitwise-equal to the maximum there.
+    """
     logb = _log_b(obs, params)
-    T = logb.shape[0]
+    T = logb.shape[1]
     with np.errstate(divide="ignore"):
         log_a = np.log(params.a)
         log_pi = np.log(params.pi)
-    delta = log_pi + logb[0]
-    backptr = np.zeros((T, 2), dtype=np.int8)
+    la00, la01, la10, la11 = log_a.ravel().tolist()
+    lb0, lb1 = memoryview(logb[0]), memoryview(logb[1])
+    backptr = np.zeros((2, T), dtype=np.int8)  # backptr[j, t]: best state at t-1
+    bp0, bp1 = memoryview(backptr[0]), memoryview(backptr[1])
+    lp0, lp1 = log_pi.tolist()
+    d0, d1 = lp0 + lb0[0], lp1 + lb1[0]
     for t in range(1, T):
-        scores = delta[:, None] + log_a  # scores[i, j]
-        backptr[t] = np.argmax(scores, axis=0)  # argmax favors sleep on ties
-        delta = scores[backptr[t], [0, 1]] + logb[t]
+        s0, s1 = d0 + la00, d1 + la10
+        if s1 > s0:  # a tie keeps the sleep predecessor
+            bp0[t] = 1
+            s0 = s1
+        e0, e1 = d0 + la01, d1 + la11
+        if e1 > e0:
+            bp1[t] = 1
+            e0 = e1
+        d0, d1 = s0 + lb0[t], e0 + lb1[t]
     path = np.empty(T, dtype=np.int8)
-    path[-1] = np.argmax(delta)
+    out = memoryview(path)
+    state = 1 if d1 > d0 else 0
+    out[T - 1] = state
+    bp = (bp0, bp1)
     for t in range(T - 1, 0, -1):
-        path[t - 1] = backptr[t, path[t]]
+        state = bp[state][t]
+        out[t - 1] = state
     return StateSequence(path, obs.epoch_seconds)
 
 
@@ -271,9 +320,9 @@ def _path_log_probs(obs: LogSeries, params: HmmParams) -> tuple[np.ndarray, np.n
     # accumulate left to right in the dynamic program's operation order,
     # so coincidentally tied paths (e.g. two zero epochs swapping states)
     # tie bitwise here exactly when they tie inside Viterbi
-    logp = log_pi[paths[:, 0]] + logb[0, paths[:, 0]]
+    logp = log_pi[paths[:, 0]] + logb[paths[:, 0], 0]
     for t in range(1, T):
-        logp = (logp + log_a[paths[:, t - 1], paths[:, t]]) + logb[t, paths[:, t]]
+        logp = (logp + log_a[paths[:, t - 1], paths[:, t]]) + logb[paths[:, t], t]
     return logp, paths
 
 
@@ -304,9 +353,9 @@ def path_log_probability(obs: LogSeries, params: HmmParams, states: StateSequenc
         log_a = np.log(params.a)
         log_pi = np.log(params.pi)
     s = states.states
-    logp = float(log_pi[s[0]] + logb[0, s[0]])
+    logp = float(log_pi[s[0]] + logb[s[0], 0])
     for t in range(1, len(s)):
-        logp = (logp + float(log_a[s[t - 1], s[t]])) + float(logb[t, s[t]])
+        logp = (logp + float(log_a[s[t - 1], s[t]])) + float(logb[s[t], t])
     return logp
 
 
@@ -397,11 +446,6 @@ def read_params(path) -> HmmParams:
         wake=WakeEmission(mu2=values["mu2"], sigma2=values["sigma2"]),
         pi=np.array([values["pi_sleep"], values["pi_wake"]]),
     )
-
-
-def score(obs: LogSeries, params: HmmParams) -> StateSequence:
-    """Viterbi decode; convenience alias used by the pipeline."""
-    return viterbi(obs, params)
 
 
 __all__ = [

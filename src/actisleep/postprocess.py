@@ -3,15 +3,18 @@
 Same-state runs shorter than a duration threshold (15 minutes by
 default) are iteratively absorbed into their neighbors so that only
 stable bouts survive.  The shortest offending run goes first (earliest
-on ties); an interior run takes the state of the longer adjacent run
-(the preceding run's state on ties), a boundary run takes its single
-neighbor's state.  Absorbing an interior run merges it with both
-neighbors, so the run list shrinks until every run meets the threshold
-or a single run remains.
+on ties).  Runs alternate state, so both neighbors of an interior run
+share one state: absorbing it merges the neighbor, the run and the
+other neighbor into one run.  A boundary run takes its single
+neighbor's state.  The run list shrinks until every run meets the
+threshold or a single run remains.  A heap keyed (length, start) over a
+linked list of runs makes this O(R log R) in the number of runs R.
 """
 
 from __future__ import annotations
 
+import heapq
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,15 +32,22 @@ class RunLength:
     length: int
 
 
+def _run_arrays(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start index and length of every maximal same-state run."""
+    s = np.asarray(states)
+    if s.size == 0:
+        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
+    starts = np.concatenate(([0], np.flatnonzero(s[1:] != s[:-1]) + 1))
+    return starts, np.diff(starts, append=s.size)
+
+
 def runs_of(states: np.ndarray) -> list[RunLength]:
     """Partition a label array into maximal same-state runs."""
-    out: list[RunLength] = []
-    start = 0
-    for i in range(1, len(states) + 1):
-        if i == len(states) or states[i] != states[start]:
-            out.append(RunLength(int(states[start]), start, i - start))
-            start = i
-    return out
+    starts, lengths = _run_arrays(states)
+    return [
+        RunLength(int(states[start]), int(start), int(length))
+        for start, length in zip(starts, lengths)
+    ]
 
 
 def smooth(states: StateSequence, min_minutes: float = 15.0) -> StateSequence:
@@ -51,38 +61,43 @@ def smooth(states: StateSequence, min_minutes: float = 15.0) -> StateSequence:
     if min_minutes < 0:
         raise InputError("min_minutes must be non-negative")
     min_epochs = min_minutes * 60.0 / states.epoch_seconds
-    run_list = runs_of(states.states)
-    while len(run_list) > 1:
-        short = [r for r in run_list if r.length < min_epochs]
-        if not short:
-            break
-        victim = min(short, key=lambda r: (r.length, r.start))
-        i = run_list.index(victim)
-        if i == 0:
-            new_state = run_list[1].state
-        elif i == len(run_list) - 1:
-            new_state = run_list[i - 1].state
-        else:
-            prev_run, next_run = run_list[i - 1], run_list[i + 1]
-            new_state = (
-                prev_run.state if prev_run.length >= next_run.length else next_run.state
-            )
-        merged = RunLength(new_state, victim.start, victim.length)
-        run_list[i] = merged
-        # merge with equal-state neighbors
-        j = i
-        while j > 0 and run_list[j - 1].state == run_list[j].state:
-            left = run_list[j - 1]
-            run_list[j - 1 : j + 1] = [
-                RunLength(left.state, left.start, left.length + run_list[j].length)
-            ]
-            j -= 1
-        while j < len(run_list) - 1 and run_list[j + 1].state == run_list[j].state:
-            cur = run_list[j]
-            run_list[j : j + 2] = [
-                RunLength(cur.state, cur.start, cur.length + run_list[j + 1].length)
-            ]
-    out = np.empty(len(states), dtype=np.int8)
-    for run in run_list:
-        out[run.start : run.start + run.length] = run.state
+    starts, run_lengths = _run_arrays(states.states)
+    n_runs = len(starts)
+    # runs are numbered in start order, so (length, index) orders like
+    # (length, start); an absorbed run's length drops to 0 and a kept
+    # run's only grows, so a heap entry is stale once its length is off
+    length = run_lengths.tolist()
+    first_state = int(states.states[0])
+    # doubly linked list of live runs; arrays hold the links at 8 bytes
+    # each, where lists would also hold one int object per link
+    prev = array("q", range(-1, n_runs - 1))
+    nxt = array("q", range(1, n_runs + 1))
+    nxt[-1] = -1
+    heap = [(n, i) for i, n in enumerate(length) if n < min_epochs]
+    heapq.heapify(heap)
+    while heap and n_runs > 1:
+        n, i = heapq.heappop(heap)
+        if length[i] != n:
+            continue
+        p, q = prev[i], nxt[i]
+        if p < 0:  # first run: it takes the next run's state
+            first_state ^= 1
+            keep, absorbed = i, (q,)
+        elif q < 0:  # last run
+            keep, absorbed = p, (i,)
+        else:  # interior: both neighbors share one state
+            keep, absorbed = p, (i, q)
+        for j in absorbed:
+            length[keep] += length[j]
+            length[j] = 0
+            nxt[keep] = nxt[j]
+        if nxt[keep] >= 0:
+            prev[nxt[keep]] = keep
+        n_runs -= len(absorbed)
+        if length[keep] < min_epochs:
+            heapq.heappush(heap, (length[keep], keep))
+    kept = np.asarray(length)
+    kept = kept[kept > 0]
+    labels = ((first_state + np.arange(len(kept))) % 2).astype(np.int8)
+    out = np.repeat(labels, kept)
     return StateSequence(out, states.epoch_seconds)

@@ -15,9 +15,8 @@ import numpy as np
 
 from . import hmm
 from .emissions import SleepEmission, WakeEmission
-from .series import LogSeries
+from .series import LogSeries, log_transform
 from .simulate import SimSpec, reference_params, simulate
-from .series import log_transform
 
 FORWARD_REL_TOL = 1e-10
 POSTERIOR_TOL = 1e-10

@@ -144,6 +144,22 @@ class TestScore:
         assert np.array_equal(got.states, expected.states)
 
 
+    def test_single_loud_epoch_exits_0(self, tmp_path, capsys):
+        # a quiet recording with one loud final epoch leaves the wake
+        # state unoccupied before the last epoch during the fit
+        from datetime import datetime
+
+        from actisleep.series import EpochSeries, write_epoch_csv
+
+        epochs = tmp_path / "quiet.epochs.csv"
+        counts = np.array([0] * 99 + [5000])
+        write_epoch_csv(EpochSeries(datetime(2020, 1, 1, 22), 30, counts), epochs)
+        out = tmp_path / "quiet.labels.csv"
+        code, _, err = _run(capsys, "score", str(epochs), "--out", str(out))
+        assert code == 0, err
+        assert len(read_label_csv(out, 100).states) == 100
+
+
 class TestAsScore:
     def test_end_to_end_with_diag(self, sim, capsys):
         series = read_epoch_csv(sim["epochs"])

@@ -21,7 +21,7 @@ from actisleep import (
 )
 from actisleep.errors import InputError
 from actisleep.hmm import _forward_backward
-from actisleep.series import LogSeries, log_transform
+from actisleep.series import LogSeries, StateSequence, log_transform
 from actisleep.simulate import SimSpec, reference_params, simulate
 from actisleep.verify import random_instance
 
@@ -39,6 +39,76 @@ def _sym_params(mu=2.0, sigma=1.0, alpha=1e-300):
         wake=WakeEmission(mu2=mu, sigma2=sigma),
         pi=np.array([0.5, 0.5]),
     )
+
+
+def _reference_log_b(obs, params):
+    """(T, 2) per-epoch log emission densities."""
+    from actisleep.emissions import sleep_log_emission, wake_log_emission
+
+    return np.column_stack(
+        [
+            sleep_log_emission(obs.values, params.sleep),
+            wake_log_emission(obs.values, params.wake),
+        ]
+    )
+
+
+def _reference_forward_backward(obs, params):
+    """Straightforward per-epoch numpy forward-backward.
+
+    Returns (log_likelihood, gamma, xi) with xi the (T-1, 2, 2) per-step
+    pairwise posteriors; the engine under test must agree with it.
+    """
+    logb = _reference_log_b(obs, params)
+    T = logb.shape[0]
+    shift = logb.max(axis=1)
+    b = np.exp(logb - shift[:, None])
+    a = params.a
+
+    alpha = np.empty((T, 2))
+    c = np.empty(T)
+    alpha[0] = params.pi * b[0]
+    c[0] = alpha[0].sum()
+    alpha[0] /= c[0]
+    for t in range(1, T):
+        alpha[t] = (alpha[t - 1] @ a) * b[t]
+        c[t] = alpha[t].sum()
+        alpha[t] /= c[t]
+    log_likelihood = float(np.sum(np.log(c)) + np.sum(shift))
+
+    beta = np.empty((T, 2))
+    beta[-1] = 1.0
+    for t in range(T - 2, -1, -1):
+        beta[t] = (a @ (b[t + 1] * beta[t + 1])) / c[t + 1]
+
+    gamma = alpha * beta
+    gamma /= gamma.sum(axis=1, keepdims=True)
+
+    xi = np.empty((max(T - 1, 0), 2, 2))
+    for t in range(T - 1):
+        m = alpha[t][:, None] * a * (b[t + 1] * beta[t + 1])[None, :]
+        xi[t] = m / m.sum()
+    return log_likelihood, gamma, xi
+
+
+def _reference_viterbi(obs, params):
+    """Straightforward per-epoch numpy Viterbi with argmax (sleep-first) ties."""
+    logb = _reference_log_b(obs, params)
+    T = logb.shape[0]
+    with np.errstate(divide="ignore"):
+        log_a = np.log(params.a)
+        log_pi = np.log(params.pi)
+    delta = log_pi + logb[0]
+    backptr = np.zeros((T, 2), dtype=np.int8)
+    for t in range(1, T):
+        scores = delta[:, None] + log_a  # scores[i, j]
+        backptr[t] = np.argmax(scores, axis=0)
+        delta = scores[backptr[t], [0, 1]] + logb[t]
+    path = np.empty(T, dtype=np.int8)
+    path[-1] = np.argmax(delta)
+    for t in range(T - 1, 0, -1):
+        path[t - 1] = backptr[t, path[t]]
+    return path
 
 
 class TestHmmParams:
@@ -132,11 +202,30 @@ class TestPosteriors:
         assert np.allclose(gamma.sum(axis=1), 1.0, atol=1e-12)
 
     def test_xi_normalized(self):
+        # each per-step pairwise posterior sums to 1 and marginalizes to
+        # gamma, so their sum over time does so in aggregate
         rng = np.random.Generator(np.random.PCG64(13))
-        obs, params = random_instance(rng, 12)
-        _, _, xi = _forward_backward(obs, params)
-        if xi.shape[0]:
-            assert np.allclose(xi.sum(axis=(1, 2)), 1.0, atol=1e-12)
+        for _ in range(20):
+            obs, params = random_instance(rng, 12)
+            _, gamma, xi_sum = _forward_backward(obs, params)
+            T = len(obs)
+            assert xi_sum.shape == (2, 2)
+            assert xi_sum.sum() == pytest.approx(T - 1, abs=1e-12)
+            assert np.allclose(xi_sum.sum(axis=1), gamma[:-1].sum(axis=0), atol=1e-12)
+            assert np.allclose(xi_sum.sum(axis=0), gamma[1:].sum(axis=0), atol=1e-12)
+
+    def test_zero_probability_observations_rejected(self):
+        # the sleep density underflows at the observation and pi rules
+        # out wake: the likelihood is exactly 0, a documented input error
+        p = HmmParams(
+            a=np.eye(2),
+            sleep=SleepEmission(0.5, 0.0, 0.01),
+            wake=WakeEmission(5.0, 1.0),
+            pi=np.array([1.0, 0.0]),
+        )
+        obs = LogSeries(np.array([0.0, 5.0]), 30)
+        with pytest.raises(InputError, match="zero probability"):
+            forward_log_likelihood(obs, p)
 
 
 class TestViterbi:
@@ -197,6 +286,74 @@ class TestViterbi:
             assert logp[idx] == np.max(logp)
 
 
+def _reference_cases():
+    """(name, obs, params): random, all-zero, tie-heavy and week-long inputs."""
+    rng = np.random.Generator(np.random.PCG64(30))
+    for k in range(20):
+        obs, params = random_instance(rng, 12)
+        yield f"short-{k}", obs, params
+    for k in range(20):
+        obs, params = random_instance(rng, 300)
+        yield f"random-{k}", obs, params
+    yield "all-zero", LogSeries(np.zeros(500), 30), reference_params()
+    obs, params = random_instance(rng, 2)
+    yield "all-zero-random-params", LogSeries(np.zeros(200), 30), params
+    yield "ties", LogSeries(np.full(64, 2.0), 30), _sym_params(mu=2.0, sigma=0.1)
+    yield "ties-mixed", LogSeries(rng.uniform(1.5, 2.5, 300), 30), _sym_params(
+        mu=2.0, sigma=0.1
+    )
+    # emissions mirrored about 41 (bitwise-equal there, wake ahead at 43,
+    # sleep ahead at 39) and flat transitions: ties also arise on the
+    # path into a wake epoch, where the predecessor must be sleep
+    mirrored = HmmParams(
+        a=np.full((2, 2), 0.5),
+        sleep=SleepEmission(alpha=1e-300, mu1=40.0, sigma1=1.0),
+        wake=WakeEmission(mu2=42.0, sigma2=1.0),
+        pi=np.array([0.5, 0.5]),
+    )
+    yield "ties-into-wake", LogSeries(np.repeat([41.0, 43.0], 6), 30), mirrored
+    yield "ties-mixed-wake", LogSeries(rng.choice([39.0, 41.0, 43.0], 300), 30), mirrored
+    yield "single-epoch", LogSeries(np.array([1.0]), 30), reference_params()
+    series, _ = simulate(SimSpec(reference_params(), 20160, seed=31))
+    yield "week", log_transform(series), reference_params()
+
+
+@pytest.fixture(scope="module", params=list(_reference_cases()), ids=lambda c: c[0])
+def reference_case(request):
+    return request.param[1:]
+
+
+class TestAgainstReferenceLoops:
+    """The float-loop recursions against the per-epoch numpy loops."""
+
+    def test_forward_backward(self, reference_case):
+        obs, params = reference_case
+        ll, gamma, xi_sum = _forward_backward(obs, params)
+        ref_ll, ref_gamma, ref_xi = _reference_forward_backward(obs, params)
+        assert ll == pytest.approx(ref_ll, rel=1e-12, abs=1e-12)
+        assert gamma.shape == ref_gamma.shape
+        assert np.max(np.abs(gamma - ref_gamma)) <= 1e-12
+        assert np.allclose(xi_sum, ref_xi.sum(axis=0), rtol=1e-10, atol=1e-12)
+
+    def test_viterbi(self, reference_case):
+        from actisleep.hmm import path_log_probability
+
+        obs, params = reference_case
+        got = viterbi(obs, params)
+        expected = _reference_viterbi(obs, params)
+        assert got.states.dtype == np.int8
+        assert np.array_equal(got.states, expected)
+        best = path_log_probability(obs, params, got)
+        assert best == path_log_probability(
+            obs, params, StateSequence(expected, obs.epoch_seconds)
+        )
+        if len(obs) <= 16:
+            from actisleep.hmm import _path_log_probs
+
+            logp, _ = _path_log_probs(obs, params)
+            assert best == np.max(logp)
+
+
 class TestBruteForceGuard:
     def test_length_17_refused(self):
         obs = LogSeries(np.ones(17), 30)
@@ -253,6 +410,19 @@ class TestBaumWelch:
         again = baum_welch(obs, first.params)
         assert again.converged
         assert again.iterations <= 2
+
+    def test_state_unoccupied_before_last_epoch(self):
+        # wake is all but impossible until the final epoch, so its
+        # expected transition counts vanish; its row must stay valid
+        counts = np.array([0.0] * 99 + [5000.0])
+        obs = LogSeries(np.log1p(counts), 30)
+        report = baum_welch(obs, default_init(obs))
+        p = report.params
+        assert np.all(np.isfinite(p.a)) and np.all(np.isfinite(p.pi))
+        assert np.allclose(p.a.sum(axis=1), 1.0, atol=1e-12)
+        assert np.isfinite([p.sleep.alpha, p.sleep.mu1, p.sleep.sigma1]).all()
+        assert np.isfinite([p.wake.mu2, p.wake.sigma2]).all()
+        assert np.all(np.diff(report.log_likelihood_trace) >= -1e-9)
 
     def test_too_short_rejected(self):
         obs = LogSeries(np.ones(5), 30)

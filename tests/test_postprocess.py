@@ -13,6 +13,45 @@ def _seq(letters, epoch_seconds=30):
     return StateSequence.from_letters(letters, epoch_seconds)
 
 
+def _reference_smooth(states, min_minutes=15.0):
+    """Quadratic list-splicing smoother: rescan for the (length, start)
+    minimum short run, absorb it, merge equal neighbors, repeat."""
+    min_epochs = min_minutes * 60.0 / states.epoch_seconds
+    run_list = runs_of(states.states)
+    while len(run_list) > 1:
+        short = [r for r in run_list if r.length < min_epochs]
+        if not short:
+            break
+        victim = min(short, key=lambda r: (r.length, r.start))
+        i = run_list.index(victim)
+        if i == 0:
+            new_state = run_list[1].state
+        elif i == len(run_list) - 1:
+            new_state = run_list[i - 1].state
+        else:
+            prev_run, next_run = run_list[i - 1], run_list[i + 1]
+            new_state = (
+                prev_run.state if prev_run.length >= next_run.length else next_run.state
+            )
+        run_list[i] = RunLength(new_state, victim.start, victim.length)
+        j = i
+        while j > 0 and run_list[j - 1].state == run_list[j].state:
+            left = run_list[j - 1]
+            run_list[j - 1 : j + 1] = [
+                RunLength(left.state, left.start, left.length + run_list[j].length)
+            ]
+            j -= 1
+        while j < len(run_list) - 1 and run_list[j + 1].state == run_list[j].state:
+            cur = run_list[j]
+            run_list[j : j + 2] = [
+                RunLength(cur.state, cur.start, cur.length + run_list[j + 1].length)
+            ]
+    out = np.empty(len(states), dtype=np.int8)
+    for run in run_list:
+        out[run.start : run.start + run.length] = run.state
+    return out
+
+
 class TestRunsOf:
     def test_partition(self):
         runs = runs_of(np.array([0, 0, 1, 1, 1, 0], dtype=np.int8))
@@ -44,7 +83,8 @@ class TestWorkedExamples:
         assert out.to_letters() == ["S"] * 105
 
     def test_interior_tie_takes_preceding(self):
-        # equal-length neighbors around a short run: preceding state wins
+        # runs alternate, so both neighbors of a short interior run share
+        # one state and the run merges with them into a single run
         states = _seq("S" * 40 + "W" * 4 + "S" * 40)
         assert smooth(states, 15).to_letters() == ["S"] * 84
         states = _seq("W" * 40 + "S" * 4 + "W" * 40)
@@ -88,3 +128,16 @@ class TestProperties:
         runs = runs_of(out.states)
         if len(runs) > 1:
             assert all(r.length >= min_epochs for r in runs)
+
+    @settings(max_examples=1000, deadline=None)
+    @given(state_sequences(), st.sampled_from([0.0, 1.0, 5.0, 7.5, 15.0, 30.0]))
+    def test_matches_reference(self, states, min_minutes):
+        out = smooth(states, min_minutes)
+        assert out.states.dtype == np.int8
+        assert np.array_equal(out.states, _reference_smooth(states, min_minutes))
+
+    def test_matches_reference_on_long_fragmented_sequence(self):
+        rng = np.random.Generator(np.random.PCG64(40))
+        flips = rng.random(20_000) < 0.15
+        states = StateSequence((np.cumsum(flips) % 2).astype(np.int8), 30)
+        assert np.array_equal(smooth(states).states, _reference_smooth(states))
