@@ -23,13 +23,7 @@ import numpy as np
 
 from . import hmm, metrics, postprocess
 from .actiwatch import AsConfig, as_score
-from .errors import (
-    ActisleepError,
-    ConfigError,
-    FormatError,
-    InputError,
-    UndefinedStatisticError,
-)
+from .errors import ActisleepError, FormatError
 from .series import (
     log_transform,
     parse_timestamp,
@@ -37,6 +31,7 @@ from .series import (
     read_label_csv,
     read_window_file,
     write_epoch_csv,
+    write_key_values,
     write_label_csv,
 )
 from .simulate import DEFAULT_START_TIME, SimSpec, reference_params, simulate
@@ -104,11 +99,15 @@ def _cmd_fit(args) -> int:
     log_path = Path(args.out_log) if args.out_log else Path(args.out_params).with_suffix(
         ".log"
     )
-    with open(log_path, "w") as fh:
-        fh.write(f"iterations={report.iterations}\n")
-        fh.write(f"final_log_likelihood={report.log_likelihood_trace[-1]:.17g}\n")
-        fh.write(f"converged={str(report.converged).lower()}\n")
-        fh.write(f"states_swapped={str(report.swapped).lower()}\n")
+    write_key_values(
+        log_path,
+        [
+            ("iterations", report.iterations),
+            ("final_log_likelihood", report.log_likelihood_trace[-1]),
+            ("converged", report.converged),
+            ("states_swapped", report.swapped),
+        ],
+    )
     _log(
         f"fit {args.epoch_csv}: {report.iterations} iterations, "
         f"converged={report.converged}"
@@ -167,10 +166,14 @@ def _cmd_as_score(args) -> int:
     result = as_score(series, window, cfg)
     write_label_csv(result.states, args.out)
     diag_path = Path(str(args.out) + ".diag")
-    with open(diag_path, "w") as fh:
-        fh.write(f"sleep_start={result.sleep_start}\n")
-        fh.write(f"sleep_end={result.sleep_end}\n")
-        fh.write(f"all_wake_fallback={str(result.all_wake_fallback).lower()}\n")
+    write_key_values(
+        diag_path,
+        [
+            ("sleep_start", result.sleep_start),
+            ("sleep_end", result.sleep_end),
+            ("all_wake_fallback", result.all_wake_fallback),
+        ],
+    )
     _log(
         f"wrote {args.out}; sleep_start={result.sleep_start} "
         f"sleep_end={result.sleep_end} fallback={result.all_wake_fallback}"
@@ -188,23 +191,6 @@ def _cmd_as_score(args) -> int:
     return EXIT_OK
 
 
-_METRIC_COLUMNS = (
-    "accuracy",
-    "sensitivity_sleep",
-    "specificity_sleep",
-    "ppv_sleep",
-    "ppv_wake",
-    "tp_sleep",
-    "fn_sleep",
-    "fp_sleep",
-    "tn_sleep",
-    "tst_min",
-    "latency_min",
-    "waso_min",
-    "efficiency_pct",
-)
-
-
 def _fmt(value) -> str:
     if value is None:
         return "NA"
@@ -215,23 +201,24 @@ def _fmt(value) -> str:
     return format(float(value), ".12g")
 
 
-def _metric_values(em: metrics.EpochMetrics, sv: metrics.SleepVariables) -> list:
+def _prediction_columns(em: metrics.EpochMetrics, sv: metrics.SleepVariables) -> dict:
+    """Report columns for one prediction, in order: column name -> value."""
     c = em.confusion
-    return [
-        em.accuracy,
-        em.sensitivity_sleep,
-        em.specificity_sleep,
-        em.ppv_sleep,
-        em.ppv_wake,
-        c.tp_sleep,
-        c.fn_sleep,
-        c.fp_sleep,
-        c.tn_sleep,
-        sv.total_sleep_time_min,
-        sv.sleep_latency_min,
-        sv.waso_min,
-        sv.sleep_efficiency_pct,
-    ]
+    return {
+        "accuracy": em.accuracy,
+        "sensitivity_sleep": em.sensitivity_sleep,
+        "specificity_sleep": em.specificity_sleep,
+        "ppv_sleep": em.ppv_sleep,
+        "ppv_wake": em.ppv_wake,
+        "tp_sleep": c.tp_sleep,
+        "fn_sleep": c.fn_sleep,
+        "fp_sleep": c.fp_sleep,
+        "tn_sleep": c.tn_sleep,
+        "tst_min": sv.total_sleep_time_min,
+        "latency_min": sv.sleep_latency_min,
+        "waso_min": sv.waso_min,
+        "efficiency_pct": sv.sleep_efficiency_pct,
+    }
 
 
 def _cmd_compare(args) -> int:
@@ -239,8 +226,16 @@ def _cmd_compare(args) -> int:
     n = len(series)
     window = read_window_file(args.window, series)
     truth = read_label_csv(args.truth, n, series.epoch_seconds)
+    truth_sv = metrics.sleep_variables(truth, window)
+    report = [
+        ("recording", Path(args.epochs).stem),
+        ("total_epochs_min", truth_sv.total_epochs_min),
+        ("truth_tst_min", truth_sv.total_sleep_time_min),
+        ("truth_latency_min", truth_sv.sleep_latency_min),
+        ("truth_waso_min", truth_sv.waso_min),
+        ("truth_efficiency_pct", truth_sv.sleep_efficiency_pct),
+    ]
     pred_names: list[str] = []
-    pred_values: list[list] = []
     for pred_path in args.pred:
         name = Path(pred_path).stem
         if name in pred_names:
@@ -251,38 +246,13 @@ def _cmd_compare(args) -> int:
             raise FormatError(f"prediction file {pred_path}: {exc}") from exc
         em = metrics.epoch_metrics(metrics.confusion(pred, truth))
         sv = metrics.sleep_variables(pred, window)
+        columns = _prediction_columns(em, sv)
+        report.extend((f"{name}_{column}", value) for column, value in columns.items())
         pred_names.append(name)
-        pred_values.append(_metric_values(em, sv))
-    truth_sv = metrics.sleep_variables(truth, window)
-
-    header = ["recording", "total_epochs_min", "truth_tst_min", "truth_latency_min",
-              "truth_waso_min", "truth_efficiency_pct"]
-    for name in pred_names:
-        header.extend(f"{name}_{col}" for col in _METRIC_COLUMNS)
-    data_row = [
-        Path(args.epochs).stem,
-        truth_sv.total_epochs_min,
-        truth_sv.total_sleep_time_min,
-        truth_sv.sleep_latency_min,
-        truth_sv.waso_min,
-        truth_sv.sleep_efficiency_pct,
-    ]
-    for values in pred_values:
-        data_row.extend(values)
-
-    rows = [data_row]
-    summary_rows = []
-    for label, fn in (("mean", np.mean), ("min", np.min), ("max", np.max)):
-        row = [label]
-        for col in range(1, len(header)):
-            column = [r[col] for r in rows if r[col] is not None]
-            row.append(float(fn(column)) if column else None)
-        summary_rows.append(row)
 
     with open(args.out, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows + summary_rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.write(",".join(column for column, _ in report) + "\n")
+        fh.write(",".join(_fmt(value) for _, value in report) + "\n")
     _log(f"wrote {args.out} ({len(pred_names)} predictor(s))")
     _emit_json(
         args,
@@ -314,6 +284,18 @@ def _cmd_verify(args) -> int:
         },
     )
     return EXIT_OK if report.passed else EXIT_VALIDATION
+
+
+def _int_in(low: int, high: float = float("inf")):
+    """argparse type: an integer in [low, high]; others exit 3 as bad flags."""
+
+    def int_in_range(text: str) -> int:
+        value = int(text)
+        if not low <= value <= high:
+            raise argparse.ArgumentTypeError(f"{value} is not in [{low}, {high}]")
+        return value
+
+    return int_in_range
 
 
 def build_parser() -> _Parser:
@@ -372,8 +354,8 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("verify", help="run brute-force oracle self-checks")
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--max-t", type=int, default=12)
+    p.add_argument("--trials", type=_int_in(0), default=200)
+    p.add_argument("--max-t", type=_int_in(1, hmm.BRUTE_FORCE_MAX_T), default=12)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify)
@@ -385,13 +367,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FileNotFoundError, PermissionError, IsADirectoryError) as exc:
-        _log(f"error: {exc}")
-        return EXIT_IO
     except (FormatError, OSError) as exc:
         _log(f"error: {exc}")
         return EXIT_IO
-    except (InputError, ConfigError, UndefinedStatisticError, ActisleepError) as exc:
+    except ActisleepError as exc:
         _log(f"error: {exc}")
         return EXIT_VALIDATION
 

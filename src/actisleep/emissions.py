@@ -45,10 +45,13 @@ class SleepEmission:
     sigma1: float
 
     def __post_init__(self) -> None:
+        # NaN compares false, so each check is written to fail on it
         if not 0.0 < self.alpha < 1.0:
             raise InputError(f"alpha must be in (0, 1), got {self.alpha}")
-        if not self.sigma1 >= SIGMA_FLOOR:
-            raise InputError(f"sigma1 must be >= {SIGMA_FLOOR}, got {self.sigma1}")
+        if not np.isfinite(self.mu1):
+            raise InputError(f"mu1 must be finite, got {self.mu1}")
+        if not SIGMA_FLOOR <= self.sigma1 < np.inf:
+            raise InputError(f"sigma1 must be in [{SIGMA_FLOOR}, inf), got {self.sigma1}")
 
 
 @dataclass(frozen=True)
@@ -59,8 +62,10 @@ class WakeEmission:
     sigma2: float
 
     def __post_init__(self) -> None:
-        if not self.sigma2 >= SIGMA_FLOOR:
-            raise InputError(f"sigma2 must be >= {SIGMA_FLOOR}, got {self.sigma2}")
+        if not np.isfinite(self.mu2):
+            raise InputError(f"mu2 must be finite, got {self.mu2}")
+        if not SIGMA_FLOOR <= self.sigma2 < np.inf:
+            raise InputError(f"sigma2 must be in [{SIGMA_FLOOR}, inf), got {self.sigma2}")
 
 
 def _log_norm_pdf(z):
@@ -193,17 +198,13 @@ def _coordinate_search(o, wt, mu: float, sigma: float) -> tuple[float, float]:
     return mu, sigma
 
 
-def _fit_truncnorm_weighted(
-    o, wt, mu0: float, sigma0: float, allow_fallback: bool = True
-) -> tuple[float, float]:
+def _fit_truncnorm_weighted(o, wt, mu0: float, sigma0: float) -> tuple[float, float]:
     """Maximize the weighted truncated-normal log-likelihood from a warm start.
 
     Newton iteration on the gradient with step-halving keeps the search at
     the stationary point nearest the current parameters; if a Newton step
-    cannot stay inside the parameter box (and the fallback is allowed) a
-    bounded coordinate search takes over.  With the fallback disabled the
-    search simply stops, which deliberately leaves data without an
-    interior stationary point (e.g. all weight at zero) where it stands.
+    cannot stay inside the parameter box a bounded coordinate search takes
+    over.
     """
     if not np.sum(wt) > 0:
         return mu0, sigma0
@@ -226,9 +227,7 @@ def _fit_truncnorm_weighted(
         except np.linalg.LinAlgError:
             step = None
         if step is None or not np.all(np.isfinite(step)) or np.dot(step, grad) <= 0:
-            if allow_fallback:
-                return _coordinate_search(o, wt, mu, sigma)
-            break
+            return _coordinate_search(o, wt, mu, sigma)
         scale = 1.0
         accepted = False
         for _ in range(40):
@@ -242,9 +241,7 @@ def _fit_truncnorm_weighted(
                     break
             scale *= 0.5
         if not accepted:
-            if allow_fallback:
-                return _coordinate_search(o, wt, mu, sigma)
-            break
+            return _coordinate_search(o, wt, mu, sigma)
         if max(abs(scale * step[0]), abs(scale * step[1])) < _FIT_TOL:
             break
     return mu, sigma

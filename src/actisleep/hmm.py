@@ -27,14 +27,14 @@ from .emissions import (
     sleep_log_emission,
     wake_log_emission,
 )
-from .errors import DegenerateWeightError, FormatError, InputError
-from .series import LogSeries, State, StateSequence
+from .errors import DegenerateWeightError, InputError
+from .series import LogSeries, State, StateSequence, read_key_values, write_key_values
 
 _STOCHASTIC_TOL = 1e-12
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITER = 500
 _MIN_FIT_LENGTH = 10
-_BRUTE_FORCE_MAX_T = 16
+BRUTE_FORCE_MAX_T = 16
 _MIN_OCCUPANCY = 1e-100
 
 
@@ -50,13 +50,16 @@ class HmmParams:
     def __post_init__(self) -> None:
         a = np.asarray(self.a, dtype=np.float64)
         pi = np.asarray(self.pi, dtype=np.float64)
+        # NaN compares false, so each check is written to fail on it
         if a.shape != (2, 2):
             raise InputError("transition matrix must be 2x2")
-        if np.any(a < 0) or np.any(a > 1):
+        if not np.all((a >= 0) & (a <= 1)):
             raise InputError("transition entries must lie in [0, 1]")
-        if np.any(np.abs(a.sum(axis=1) - 1.0) > _STOCHASTIC_TOL):
+        if not np.all(np.abs(a.sum(axis=1) - 1.0) <= _STOCHASTIC_TOL):
             raise InputError("transition rows must each sum to 1")
-        if pi.shape != (2,) or np.any(pi < 0) or abs(pi.sum() - 1.0) > _STOCHASTIC_TOL:
+        if pi.shape != (2,) or not (
+            np.all(pi >= 0) and abs(pi.sum() - 1.0) <= _STOCHASTIC_TOL
+        ):
             raise InputError("pi must be a length-2 probability vector")
         a.setflags(write=False)
         pi.setflags(write=False)
@@ -308,9 +311,9 @@ def _enumerate_paths(T: int) -> np.ndarray:
 
 def _path_log_probs(obs: LogSeries, params: HmmParams) -> tuple[np.ndarray, np.ndarray]:
     T = len(obs)
-    if T > _BRUTE_FORCE_MAX_T:
+    if T > BRUTE_FORCE_MAX_T:
         raise InputError(
-            f"brute-force oracle refuses T={T} > {_BRUTE_FORCE_MAX_T}"
+            f"brute-force oracle refuses T={T} > {BRUTE_FORCE_MAX_T}"
         )
     logb = _log_b(obs, params)
     with np.errstate(divide="ignore"):
@@ -406,45 +409,16 @@ def write_params(params: HmmParams, path) -> None:
         "mu2": params.wake.mu2,
         "sigma2": params.wake.sigma2,
     }
-    with open(path, "w") as fh:
-        for key in _PARAM_KEYS:
-            fh.write(f"{key}={values[key]:.17g}\n")
+    write_key_values(path, values.items())
 
 
 def read_params(path) -> HmmParams:
-    values: dict[str, float] = {}
-    with open(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise FormatError(f"{path}: line {line_no}: expected key=value")
-            key, _, raw = line.partition("=")
-            key = key.strip()
-            if key not in _PARAM_KEYS:
-                raise FormatError(f"{path}: line {line_no}: unknown key {key!r}")
-            try:
-                values[key] = float(raw)
-            except ValueError:
-                raise FormatError(
-                    f"{path}: line {line_no}: bad value {raw!r}"
-                ) from None
-    missing = [k for k in _PARAM_KEYS if k not in values]
-    if missing:
-        raise FormatError(f"{path}: missing keys {missing}")
+    v = read_key_values(path, _PARAM_KEYS, float)
     return HmmParams(
-        a=np.array(
-            [
-                [values["a11"], values["a12"]],
-                [values["a21"], values["a22"]],
-            ]
-        ),
-        sleep=SleepEmission(
-            alpha=values["alpha"], mu1=values["mu1"], sigma1=values["sigma1"]
-        ),
-        wake=WakeEmission(mu2=values["mu2"], sigma2=values["sigma2"]),
-        pi=np.array([values["pi_sleep"], values["pi_wake"]]),
+        a=np.array([[v["a11"], v["a12"]], [v["a21"], v["a22"]]]),
+        sleep=SleepEmission(alpha=v["alpha"], mu1=v["mu1"], sigma1=v["sigma1"]),
+        wake=WakeEmission(mu2=v["mu2"], sigma2=v["sigma2"]),
+        pi=np.array([v["pi_sleep"], v["pi_wake"]]),
     )
 
 

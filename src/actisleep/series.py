@@ -10,13 +10,16 @@ File formats:
   - epoch CSV: header ``timestamp,count``; ISO-8601 UTC timestamps at a
     constant spacing; base-10 integer counts.
   - label CSV: header ``epoch_index,state``; state ``S`` or ``W``.
-  - window sidecar: ``key=value`` lines with ISO-8601 timestamps for
-    ``lights_out``, ``lights_on``, ``go_to_bed``, ``get_up``.
+  - ``key=value`` files (window sidecar, HMM parameters, fit log,
+    comparator diagnostics): one pair per line, each key once; blank lines
+    and ``#`` comments are skipped.  The window sidecar holds ISO-8601
+    timestamps for ``lights_out``, ``lights_on``, ``go_to_bed``, ``get_up``.
 """
 
 from __future__ import annotations
 
 import csv
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from enum import IntEnum
@@ -26,6 +29,7 @@ import numpy as np
 from .errors import EmptyInputError, FormatError, InputError
 
 _SUPPORTED_EPOCH_SECONDS_MSG = "epoch_seconds must divide 60 or be a multiple of 60"
+_MAX_COUNT = np.iinfo(np.int64).max
 
 
 class State(IntEnum):
@@ -164,14 +168,25 @@ def format_timestamp(ts: datetime) -> str:
     return ts.astimezone(timezone.utc).strftime(_TS_FORMAT)
 
 
+@contextmanager
+def _open_text(path):
+    """Open a text input as UTF-8; a decode error becomes a FormatError."""
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text: {exc.reason}") from None
+
+
 def read_epoch_csv(path) -> EpochSeries:
     """Read an epoch CSV, inferring epoch_seconds from row spacing.
 
     Raises FormatError for a malformed header, non-constant spacing
-    (naming the first offending row), or bad counts; EmptyInputError if
-    fewer than two data rows are present (spacing cannot be inferred).
+    (naming the first offending row), or bad counts (negative or above
+    2**63 - 1); EmptyInputError if fewer than two data rows are present
+    (spacing cannot be inferred).
     """
-    with open(path, newline="") as fh:
+    with _open_text(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ["timestamp", "count"]:
@@ -193,6 +208,8 @@ def read_epoch_csv(path) -> EpochSeries:
                 ) from None
             if count < 0:
                 raise FormatError(f"{path}: row {row_no}: negative count {count}")
+            if count > _MAX_COUNT:
+                raise FormatError(f"{path}: row {row_no}: count {count} above 2**63 - 1")
             counts.append(count)
     if not counts:
         raise EmptyInputError(f"{path}: no data rows")
@@ -220,7 +237,7 @@ def write_epoch_csv(series: EpochSeries, path) -> None:
 
 def read_label_csv(path, expected_len: int, epoch_seconds: int = 30) -> StateSequence:
     """Read a label CSV covering indices 0..expected_len-1 exactly once."""
-    with open(path, newline="") as fh:
+    with _open_text(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ["epoch_index", "state"]:
@@ -267,16 +284,15 @@ def write_label_csv(states: StateSequence, path) -> None:
             fh.write(f"{i},{letter}\n")
 
 
-_WINDOW_KEYS = ("lights_out", "lights_on", "go_to_bed", "get_up")
+def read_key_values(path, keys, convert) -> dict:
+    """Read a ``key=value`` file that sets each of ``keys`` exactly once.
 
-
-def read_window_file(path, series: EpochSeries) -> StudyWindow:
-    """Read a key=value window sidecar and convert timestamps to indices.
-
-    Timestamps are floored to the containing epoch.
+    ``convert`` turns each raw value into its typed form; a ValueError it
+    raises becomes a FormatError naming the line.  Unknown, repeated and
+    missing keys raise FormatError too.
     """
-    values: dict[str, datetime] = {}
-    with open(path) as fh:
+    values = {}
+    with _open_text(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -285,22 +301,52 @@ def read_window_file(path, series: EpochSeries) -> StudyWindow:
                 raise FormatError(f"{path}: line {line_no}: expected key=value")
             key, _, raw = line.partition("=")
             key = key.strip()
-            if key not in _WINDOW_KEYS:
+            if key not in keys:
                 raise FormatError(f"{path}: line {line_no}: unknown key {key!r}")
-            values[key] = parse_timestamp(raw)
-    missing = [k for k in _WINDOW_KEYS if k not in values]
+            if key in values:
+                raise FormatError(f"{path}: line {line_no}: repeated key {key!r}")
+            try:
+                values[key] = convert(raw)
+            except ValueError:
+                raise FormatError(
+                    f"{path}: line {line_no}: bad value {raw!r}"
+                ) from None
+    missing = [k for k in keys if k not in values]
     if missing:
         raise FormatError(f"{path}: missing keys {missing}")
+    return values
 
-    def to_index(ts: datetime) -> int:
-        offset = (ts - series.start_time).total_seconds()
-        return int(offset // series.epoch_seconds)
 
+def write_key_values(path, items) -> None:
+    """Write ``(key, value)`` pairs as ``key=value`` lines, in order.
+
+    Booleans are written ``true``/``false``, floats with the 17
+    significant digits that round-trip a float64 exactly, anything else
+    as ``str(value)``.
+    """
+    with open(path, "w") as fh:
+        for key, value in items:
+            if isinstance(value, (bool, np.bool_)):
+                value = str(value).lower()
+            elif isinstance(value, float):
+                value = format(value, ".17g")
+            fh.write(f"{key}={value}\n")
+
+
+_WINDOW_KEYS = ("lights_out", "lights_on", "go_to_bed", "get_up")
+
+
+def read_window_file(path, series: EpochSeries) -> StudyWindow:
+    """Read a window sidecar and convert its timestamps to epoch indices.
+
+    Timestamps are floored to the containing epoch.
+    """
+    values = read_key_values(path, _WINDOW_KEYS, parse_timestamp)
     window = StudyWindow(
-        lights_out=to_index(values["lights_out"]),
-        lights_on=to_index(values["lights_on"]),
-        go_to_bed=to_index(values["go_to_bed"]),
-        get_up=to_index(values["get_up"]),
+        **{
+            key: int((ts - series.start_time).total_seconds() // series.epoch_seconds)
+            for key, ts in values.items()
+        }
     )
     window.check_bounds(len(series))
     return window

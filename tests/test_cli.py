@@ -159,6 +159,37 @@ class TestScore:
         assert code == 0, err
         assert len(read_label_csv(out, 100).states) == 100
 
+    @pytest.mark.parametrize(
+        "key, value", [("a11", "nan"), ("mu2", "nan"), ("sigma2", "inf")]
+    )
+    def test_non_finite_params_exit_1(self, sim, capsys, key, value):
+        params = sim["dir"] / "bad.params.txt"
+        params.write_text(
+            "".join(
+                f"{key}={value}\n" if line.startswith(f"{key}=") else line + "\n"
+                for line in sim["params"].read_text().splitlines()
+            )
+        )
+        out = sim["dir"] / "pred.csv"
+        code, _, err = _run(
+            capsys,
+            "score", str(sim["epochs"]), "--params", str(params), "--out", str(out),
+        )
+        assert code == 1
+        assert "error:" in err
+        assert not out.exists()
+
+    def test_repeated_params_key_exits_2(self, sim, capsys):
+        params = sim["dir"] / "twice.params.txt"
+        params.write_text(sim["params"].read_text() + "mu1=2.0\n")
+        code, _, err = _run(
+            capsys,
+            "score", str(sim["epochs"]), "--params", str(params),
+            "--out", str(sim["dir"] / "pred.csv"),
+        )
+        assert code == 2
+        assert "line 12: repeated key 'mu1'" in err
+
 
 class TestAsScore:
     def test_end_to_end_with_diag(self, sim, capsys):
@@ -203,10 +234,8 @@ class TestCompare:
         assert header[0] == "recording"
         assert "pred_accuracy" in header
         assert "truth_tst_min" in header
-        # one data row plus mean/min/max summary rows
-        assert [line.split(",")[0] for line in lines[1:]] == [
-            "rec.epochs", "mean", "min", "max",
-        ]
+        # a header and the one data row
+        assert [line.split(",")[0] for line in lines[1:]] == ["rec.epochs"]
         acc = float(lines[1].split(",")[header.index("pred_accuracy")])
         assert 0.5 < acc <= 1.0
 
@@ -251,6 +280,44 @@ class TestVerify:
         assert "FAIL" in err
 
 
+class TestBadInputFiles:
+    def test_count_above_int64_exits_2(self, tmp_path, capsys):
+        epochs = tmp_path / "big.epochs.csv"
+        epochs.write_text(
+            "timestamp,count\n"
+            "2020-01-01T22:00:00Z,1\n"
+            f"2020-01-01T22:00:30Z,{2**63}\n"
+        )
+        code, _, err = _run(
+            capsys, "score", str(epochs), "--out", str(tmp_path / "out.csv")
+        )
+        assert code == 2
+        assert "big.epochs.csv: row 2" in err
+
+    @pytest.mark.parametrize("target", ["epochs", "params", "window", "truth"])
+    def test_non_utf8_input_exits_2(self, sim, capsys, target):
+        series = read_epoch_csv(sim["epochs"])
+        window = sim["dir"] / "window.txt"
+        _write_window(window, series, 0, 2000, 0, 1999)
+        path = {
+            "epochs": sim["epochs"], "params": sim["params"],
+            "window": window, "truth": sim["labels"],
+        }[target]
+        path.write_bytes(path.read_bytes()[:40] + b"\xff\xfe\n")
+        argv = {
+            "epochs": ["score", str(sim["epochs"])],
+            "params": ["score", str(sim["epochs"]), "--params", str(sim["params"])],
+            "window": ["as-score", str(sim["epochs"]), "--window", str(window)],
+            "truth": [
+                "compare", "--truth", str(sim["labels"]), "--pred", str(sim["labels"]),
+                "--epochs", str(sim["epochs"]), "--window", str(window),
+            ],
+        }[target]
+        code, _, err = _run(capsys, *argv, "--out", str(sim["dir"] / "out.csv"))
+        assert code == 2
+        assert f"{path}: not UTF-8" in err
+
+
 class TestUsageErrors:
     def test_unknown_subcommand_exits_3(self, capsys):
         assert _run(capsys, "frobnicate")[0] == 3
@@ -262,3 +329,15 @@ class TestUsageErrors:
         assert _run(
             capsys, "simulate", "--t", "many", "--out-prefix", "x"
         )[0] == 3
+
+    @pytest.mark.parametrize(
+        "flags", [["--trials", "-1"], ["--max-t", "0"], ["--max-t", "17"]]
+    )
+    def test_verify_flag_out_of_range_exits_3(self, capsys, flags):
+        code, _, err = _run(capsys, "verify", *flags)
+        assert code == 3
+        assert "Traceback" not in err
+
+    def test_verify_flag_range_ends_accepted(self, capsys):
+        assert _run(capsys, "verify", "--trials", "0", "--max-t", "16")[0] == 0
+        assert _run(capsys, "verify", "--trials", "3", "--max-t", "1")[0] == 0

@@ -273,3 +273,28 @@ class TestParameterValidation:
             SleepEmission(alpha=0.5, mu1=1.0, sigma1=1e-4)
         with pytest.raises(InputError):
             WakeEmission(mu2=1.0, sigma2=0.0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("mu1", np.nan), ("mu1", np.inf), ("mu1", -np.inf), ("sigma1", np.inf)],
+    )
+    def test_sleep_non_finite_rejected(self, field, value):
+        kwargs = {"alpha": 0.5, "mu1": 1.0, "sigma1": 1.0, field: value}
+        with pytest.raises(InputError, match=field):
+            SleepEmission(**kwargs)
+
+    @pytest.mark.parametrize(
+        "field, value", [("mu2", np.nan), ("mu2", -np.inf), ("sigma2", np.inf)]
+    )
+    def test_wake_non_finite_rejected(self, field, value):
+        kwargs = {"mu2": 3.0, "sigma2": 1.0, field: value}
+        with pytest.raises(InputError, match=field):
+            WakeEmission(**kwargs)
+
+    def test_nan_alpha_and_sigmas_rejected(self):
+        with pytest.raises(InputError, match="alpha"):
+            SleepEmission(alpha=np.nan, mu1=1.0, sigma1=1.0)
+        with pytest.raises(InputError, match="sigma1"):
+            SleepEmission(alpha=0.5, mu1=1.0, sigma1=np.nan)
+        with pytest.raises(InputError, match="sigma2"):
+            WakeEmission(mu2=3.0, sigma2=np.nan)

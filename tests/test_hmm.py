@@ -130,6 +130,25 @@ class TestHmmParams:
                 pi=np.array([0.6, 0.5]),
             )
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_transition_rejected(self, value):
+        with pytest.raises(InputError, match="transition"):
+            HmmParams(
+                a=np.array([[value, 0.1], [0.1, 0.9]]),
+                sleep=SleepEmission(0.5, 1.0, 1.0),
+                wake=WakeEmission(3.0, 1.0),
+                pi=np.array([0.5, 0.5]),
+            )
+
+    def test_nan_pi_rejected(self):
+        with pytest.raises(InputError, match="pi"):
+            HmmParams(
+                a=np.array([[0.9, 0.1], [0.1, 0.9]]),
+                sleep=SleepEmission(0.5, 1.0, 1.0),
+                wake=WakeEmission(3.0, 1.0),
+                pi=np.array([np.nan, 0.5]),
+            )
+
     def test_arrays_frozen(self):
         p = reference_params()
         with pytest.raises(ValueError):
@@ -478,4 +497,28 @@ class TestParamsIo:
         from actisleep.errors import FormatError
 
         with pytest.raises(FormatError, match="unknown key"):
+            read_params(path)
+
+    def test_repeated_key_rejected(self, tmp_path):
+        path = tmp_path / "params.txt"
+        write_params(reference_params(), path)
+        with open(path, "a") as fh:
+            fh.write("mu1=2.0\n")
+        from actisleep.errors import FormatError
+
+        with pytest.raises(FormatError, match="line 12: repeated key 'mu1'"):
+            read_params(path)
+
+    @pytest.mark.parametrize(
+        "key, value", [("a11", "nan"), ("mu2", "nan"), ("sigma2", "inf")]
+    )
+    def test_non_finite_value_rejected(self, tmp_path, key, value):
+        path = tmp_path / "params.txt"
+        write_params(reference_params(), path)
+        lines = [
+            f"{key}={value}" if line.startswith(f"{key}=") else line
+            for line in path.read_text().splitlines()
+        ]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InputError):
             read_params(path)

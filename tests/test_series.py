@@ -21,7 +21,12 @@ from actisleep import (
     write_label_csv,
 )
 from actisleep.errors import EmptyInputError, FormatError, InputError
-from actisleep.series import format_timestamp, parse_timestamp
+from actisleep.series import (
+    format_timestamp,
+    parse_timestamp,
+    read_key_values,
+    write_key_values,
+)
 
 START = datetime(2012, 5, 1, 21, 30, 0, tzinfo=timezone.utc)
 
@@ -108,6 +113,21 @@ class TestReadEpochCsv:
         )
         with pytest.raises(FormatError, match="negative"):
             read_epoch_csv(path)
+
+    def test_count_above_int64_rejected(self, tmp_path):
+        path = _epoch_csv(
+            tmp_path,
+            [("2012-05-01T21:30:00Z", 2**63 - 1), ("2012-05-01T21:30:30Z", 2**63)],
+        )
+        with pytest.raises(FormatError, match="row 2: count 9223372036854775808"):
+            read_epoch_csv(path)
+
+    def test_count_int64_max_accepted(self, tmp_path):
+        path = _epoch_csv(
+            tmp_path,
+            [("2012-05-01T21:30:00Z", 2**63 - 1), ("2012-05-01T21:30:30Z", 0)],
+        )
+        assert read_epoch_csv(path).counts[0] == 2**63 - 1
 
     def test_non_integer_count_rejected(self, tmp_path):
         path = _epoch_csv(
@@ -231,6 +251,71 @@ class TestWindowFile:
         path.write_text("bed_time=2012-05-01T21:30:00Z\n")
         with pytest.raises(FormatError, match="unknown key"):
             read_window_file(path, series)
+
+    def test_repeated_key(self, tmp_path):
+        series = EpochSeries(START, 30, np.zeros(200, dtype=np.int64))
+        path = tmp_path / "window.txt"
+        path.write_text(
+            "lights_out=2012-05-01T21:30:00Z\n"
+            "lights_on=2012-05-01T23:00:00Z\n"
+            "go_to_bed=2012-05-01T21:31:15Z\n"
+            "lights_out=2012-05-01T21:35:00Z\n"
+            "get_up=2012-05-01T22:59:30Z\n"
+        )
+        with pytest.raises(FormatError, match="line 4: repeated key 'lights_out'"):
+            read_window_file(path, series)
+
+
+class TestKeyValues:
+    def test_round_trip_and_formatting(self, tmp_path):
+        path = tmp_path / "kv.txt"
+        write_key_values(
+            path,
+            [("x", 0.1), ("n", 7), ("flag", True), ("off", np.False_), ("none", None)],
+        )
+        assert path.read_text() == (
+            "x=0.10000000000000001\nn=7\nflag=true\noff=false\nnone=None\n"
+        )
+        values = read_key_values(path, ("x", "n", "flag", "off", "none"), str)
+        assert values == {
+            "x": "0.10000000000000001", "n": "7", "flag": "true", "off": "false",
+            "none": "None",
+        }
+        assert float(values["x"]) == 0.1
+
+    def test_comments_and_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "kv.txt"
+        path.write_text("# header\n\n a = 1.5 \n")
+        assert read_key_values(path, ("a",), float) == {"a": 1.5}
+
+    def test_bad_value_names_line(self, tmp_path):
+        path = tmp_path / "kv.txt"
+        path.write_text("a=1\nb=x\n")
+        with pytest.raises(FormatError, match="line 2: bad value"):
+            read_key_values(path, ("a", "b"), float)
+
+    def test_missing_equals_names_line(self, tmp_path):
+        path = tmp_path / "kv.txt"
+        path.write_text("a=1\nb\n")
+        with pytest.raises(FormatError, match="line 2: expected key=value"):
+            read_key_values(path, ("a", "b"), float)
+
+
+class TestUndecodableInput:
+    @pytest.mark.parametrize(
+        "header, read",
+        [
+            (b"timestamp,count\n", read_epoch_csv),
+            (b"epoch_index,state\n", lambda p: read_label_csv(p, 1)),
+            (b"", lambda p: read_key_values(p, ("a",), float)),
+        ],
+        ids=["epochs", "labels", "key_values"],
+    )
+    def test_non_utf8_bytes_rejected(self, tmp_path, header, read):
+        path = tmp_path / "input.txt"
+        path.write_bytes(header + b"\xff\xfe=1\n")
+        with pytest.raises(FormatError, match="input.txt: not UTF-8"):
+            read(path)
 
 
 class TestLogTransform:
