@@ -21,9 +21,6 @@ from .hmm import (
     FitReport,
     HmmParams,
     baum_welch,
-    brute_force_likelihood,
-    brute_force_posteriors,
-    brute_force_viterbi,
     default_init,
     forward_log_likelihood,
     posterior_marginals,
@@ -56,6 +53,12 @@ from .series import (
     write_label_csv,
 )
 from .simulate import SimSpec, reference_params, simulate, simulate_from_states
-from .verify import VerifyReport, run_verification
+from .verify import (
+    VerifyReport,
+    brute_force_likelihood,
+    brute_force_posteriors,
+    brute_force_viterbi,
+    run_verification,
+)
 
 __version__ = "0.1.0"

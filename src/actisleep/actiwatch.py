@@ -89,6 +89,16 @@ def _per_epoch_threshold(cpm: float, epoch_seconds: int) -> float:
     return cpm * epoch_seconds / 60.0
 
 
+def _window_epochs(minutes: float, epoch_seconds: int) -> int:
+    """Block length in epochs; an empty block would qualify trivially."""
+    window = round(minutes * 60.0 / epoch_seconds)
+    if window < 1:
+        raise ConfigError(
+            f"a {minutes:g}-minute window rounds to no {epoch_seconds} s epoch"
+        )
+    return window
+
+
 def find_sleep_start(
     scores: np.ndarray, epoch_seconds: int, go_to_bed: int, cfg: AsConfig
 ) -> int | None:
@@ -99,7 +109,7 @@ def find_sleep_start(
     per-epoch immobility threshold.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    window = round(cfg.start_window_minutes * 60.0 / epoch_seconds)
+    window = _window_epochs(cfg.start_window_minutes, epoch_seconds)
     tolerance = int(cfg.start_tolerance_minutes * 60.0 // epoch_seconds)
     threshold = _per_epoch_threshold(cfg.immobility_start_cpm, epoch_seconds)
     if go_to_bed < 0 or go_to_bed >= scores.size:
@@ -116,14 +126,12 @@ def find_sleep_end(
 ) -> int | None:
     """Last epoch of the latest qualifying block at or before get-up, or None."""
     scores = np.asarray(scores, dtype=np.float64)
-    window = round(cfg.end_window_minutes * 60.0 / epoch_seconds)
+    window = _window_epochs(cfg.end_window_minutes, epoch_seconds)
     threshold = _per_epoch_threshold(cfg.immobility_end_cpm, epoch_seconds)
     if get_up < 0 or get_up >= scores.size:
         raise InputError("get_up outside series bounds")
     above = np.concatenate([[0], np.cumsum(scores > threshold)])
     for end in range(get_up, window - 2, -1):
-        if end - window + 1 < 0:
-            break
         if above[end + 1] - above[end + 1 - window] <= cfg.end_tolerance_epochs:
             return end
     return None

@@ -35,7 +35,7 @@ from .series import (
     write_label_csv,
 )
 from .simulate import DEFAULT_START_TIME, SimSpec, reference_params, simulate
-from .verify import run_verification
+from .verify import BRUTE_FORCE_MAX_T, run_verification
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -237,9 +237,6 @@ def _cmd_compare(args) -> int:
     ]
     pred_names: list[str] = []
     for pred_path in args.pred:
-        name = Path(pred_path).stem
-        if name in pred_names:
-            name = f"{name}_{len(pred_names)}"
         try:
             pred = read_label_csv(pred_path, n, series.epoch_seconds)
         except FormatError as exc:
@@ -247,6 +244,14 @@ def _cmd_compare(args) -> int:
         em = metrics.epoch_metrics(metrics.confusion(pred, truth))
         sv = metrics.sleep_variables(pred, window)
         columns = _prediction_columns(em, sv)
+        # the file stem names the columns, with the first _k suffix that
+        # makes none of them repeat an earlier column
+        taken = {column for column, _ in report}
+        stem = name = Path(pred_path).stem
+        k = 0
+        while any(f"{name}_{column}" in taken for column in columns):
+            k += 1
+            name = f"{stem}_{k}"
         report.extend((f"{name}_{column}", value) for column, value in columns.items())
         pred_names.append(name)
 
@@ -298,6 +303,14 @@ def _int_in(low: int, high: float = float("inf")):
     return int_in_range
 
 
+def _positive_finite(text: str) -> float:
+    """argparse type: a finite float > 0; others exit 3 as bad flags."""
+    value = float(text)
+    if not 0 < value < float("inf"):  # also false for NaN
+        raise argparse.ArgumentTypeError(f"{value} is not positive and finite")
+    return value
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="actisleep", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -316,8 +329,8 @@ def build_parser() -> _Parser:
     p.add_argument("epoch_csv")
     p.add_argument("--out-params", required=True)
     p.add_argument("--out-log", help="fit log path (default: params path with .log)")
-    p.add_argument("--tol", type=float, default=hmm.DEFAULT_TOL)
-    p.add_argument("--max-iter", type=int, default=hmm.DEFAULT_MAX_ITER)
+    p.add_argument("--tol", type=_positive_finite, default=hmm.DEFAULT_TOL)
+    p.add_argument("--max-iter", type=_int_in(0), default=hmm.DEFAULT_MAX_ITER)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_fit)
 
@@ -326,8 +339,8 @@ def build_parser() -> _Parser:
     p.add_argument("--params", help="parameter file; omitted = fit inline")
     p.add_argument("--out", required=True)
     p.add_argument("--min-minutes", type=float, default=15.0)
-    p.add_argument("--tol", type=float, default=hmm.DEFAULT_TOL)
-    p.add_argument("--max-iter", type=int, default=hmm.DEFAULT_MAX_ITER)
+    p.add_argument("--tol", type=_positive_finite, default=hmm.DEFAULT_TOL)
+    p.add_argument("--max-iter", type=_int_in(0), default=hmm.DEFAULT_MAX_ITER)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_score)
 
@@ -355,7 +368,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("verify", help="run brute-force oracle self-checks")
     p.add_argument("--trials", type=_int_in(0), default=200)
-    p.add_argument("--max-t", type=_int_in(1, hmm.BRUTE_FORCE_MAX_T), default=12)
+    p.add_argument("--max-t", type=_int_in(1, BRUTE_FORCE_MAX_T), default=12)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify)

@@ -8,8 +8,7 @@ the expected transition counts summed over time rather than per-step
 pairwise posteriors; Viterbi runs in pure log space with ties broken
 toward sleep.  With two states, both recursions run as loops over plain
 Python floats read from and written to numpy arrays through
-``memoryview``s.  Exhaustive path-enumeration oracles are included for
-short sequences and used by tests and the ``verify`` command.
+``memoryview``s.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .emissions import (
     SleepEmission,
@@ -34,7 +32,6 @@ _STOCHASTIC_TOL = 1e-12
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITER = 500
 _MIN_FIT_LENGTH = 10
-BRUTE_FORCE_MAX_T = 16
 _MIN_OCCUPANCY = 1e-100
 
 
@@ -90,6 +87,18 @@ def _log_b(obs: LogSeries, params: HmmParams) -> np.ndarray:
             wake_log_emission(obs.values, params.wake),
         ]
     )
+
+
+def log_terms(obs: LogSeries, params: HmmParams):
+    """(log b, log a, log pi): the terms a log-space path score sums.
+
+    ``viterbi`` and the enumeration oracles in ``verify`` both take their
+    terms from here, so a decoded path and its enumerated score add the
+    same numbers.  Zero probabilities map to -inf.
+    """
+    logb = _log_b(obs, params)
+    with np.errstate(divide="ignore"):
+        return logb, np.log(params.a), np.log(params.pi)
 
 
 def _forward_backward(obs: LogSeries, params: HmmParams):
@@ -215,8 +224,10 @@ def baum_welch(
     """
     if len(obs) < _MIN_FIT_LENGTH:
         raise InputError(f"need at least {_MIN_FIT_LENGTH} epochs to fit")
-    if tol <= 0:
-        raise InputError("tol must be positive")
+    if not 0 < tol < np.inf:  # also false for NaN
+        raise InputError("tol must be positive and finite")
+    if max_iter < 0:
+        raise InputError("max_iter must be non-negative")
 
     params = init
     trace: list[float] = []
@@ -267,14 +278,11 @@ def viterbi(obs: LogSeries, params: HmmParams) -> StateSequence:
     """Most probable state path in log space; ties resolve toward sleep.
 
     delta_t[j] = (delta_t-1[i] + log a[i, j]) + log b_t[j] is summed in
-    the same order as ``path_log_probability``, so the returned path
-    scores bitwise-equal to the maximum there.
+    the same order as ``verify.score_paths``, so the returned path scores
+    bitwise-equal to the enumeration maximum there.
     """
-    logb = _log_b(obs, params)
+    logb, log_a, log_pi = log_terms(obs, params)
     T = logb.shape[1]
-    with np.errstate(divide="ignore"):
-        log_a = np.log(params.a)
-        log_pi = np.log(params.pi)
     la00, la01, la10, la11 = log_a.ravel().tolist()
     lb0, lb1 = memoryview(logb[0]), memoryview(logb[1])
     backptr = np.zeros((2, T), dtype=np.int8)  # backptr[j, t]: best state at t-1
@@ -300,83 +308,6 @@ def viterbi(obs: LogSeries, params: HmmParams) -> StateSequence:
         state = bp[state][t]
         out[t - 1] = state
     return StateSequence(path, obs.epoch_seconds)
-
-
-def _enumerate_paths(T: int) -> np.ndarray:
-    """(2^T, T) matrix of all state paths in lexicographic order."""
-    n = np.arange(2**T, dtype=np.int64)
-    shifts = np.arange(T - 1, -1, -1)
-    return ((n[:, None] >> shifts[None, :]) & 1).astype(np.int8)
-
-
-def _path_log_probs(obs: LogSeries, params: HmmParams) -> tuple[np.ndarray, np.ndarray]:
-    T = len(obs)
-    if T > BRUTE_FORCE_MAX_T:
-        raise InputError(
-            f"brute-force oracle refuses T={T} > {BRUTE_FORCE_MAX_T}"
-        )
-    logb = _log_b(obs, params)
-    with np.errstate(divide="ignore"):
-        log_a = np.log(params.a)
-        log_pi = np.log(params.pi)
-    paths = _enumerate_paths(T)
-    # accumulate left to right in the dynamic program's operation order,
-    # so coincidentally tied paths (e.g. two zero epochs swapping states)
-    # tie bitwise here exactly when they tie inside Viterbi
-    logp = log_pi[paths[:, 0]] + logb[paths[:, 0], 0]
-    for t in range(1, T):
-        logp = (logp + log_a[paths[:, t - 1], paths[:, t]]) + logb[paths[:, t], t]
-    return logp, paths
-
-
-def brute_force_likelihood(obs: LogSeries, params: HmmParams) -> float:
-    """log P(observations | params) by summing over all 2^T paths."""
-    logp, _ = _path_log_probs(obs, params)
-    return float(logsumexp(logp))
-
-
-def brute_force_posteriors(obs: LogSeries, params: HmmParams) -> np.ndarray:
-    """(T, 2) state posteriors by exhaustive enumeration."""
-    logp, paths = _path_log_probs(obs, params)
-    weights = np.exp(logp - logsumexp(logp))
-    gamma = np.empty((paths.shape[1], 2))
-    gamma[:, 1] = weights @ paths
-    gamma[:, 0] = 1.0 - gamma[:, 1]
-    return gamma
-
-
-def path_log_probability(obs: LogSeries, params: HmmParams, states: StateSequence) -> float:
-    """log P(states, observations | params) for one explicit path.
-
-    Accumulated in the same left-to-right order as the Viterbi recursion,
-    so a returned Viterbi path scores bitwise-identically here.
-    """
-    logb = _log_b(obs, params)
-    with np.errstate(divide="ignore"):
-        log_a = np.log(params.a)
-        log_pi = np.log(params.pi)
-    s = states.states
-    logp = float(log_pi[s[0]] + logb[s[0], 0])
-    for t in range(1, len(s)):
-        logp = (logp + float(log_a[s[t - 1], s[t]])) + float(logb[s[t], t])
-    return logp
-
-
-def brute_force_viterbi(obs: LogSeries, params: HmmParams) -> StateSequence:
-    """Enumeration argmax path under the same sleep-leaning tie rule.
-
-    Viterbi backpointer ties favor sleep from the final epoch backwards,
-    which selects the maximizing path whose reversed state tuple is
-    lexicographically smallest; the enumeration reproduces that rule.
-    """
-    logp, paths = _path_log_probs(obs, params)
-    best = np.max(logp)
-    tied = np.flatnonzero(logp == best)
-    # reversed-lex order: compare final states first
-    rev_keys = paths[tied][:, ::-1]
-    order = np.lexsort(rev_keys.T[::-1])
-    winner = paths[tied[order[0]]]
-    return StateSequence(winner, obs.epoch_seconds)
 
 
 _PARAM_KEYS = (
@@ -430,9 +361,7 @@ __all__ = [
     "baum_welch",
     "default_init",
     "viterbi",
-    "brute_force_likelihood",
-    "brute_force_posteriors",
-    "brute_force_viterbi",
+    "log_terms",
     "read_params",
     "write_params",
     "State",

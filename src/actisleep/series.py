@@ -39,7 +39,6 @@ class State(IntEnum):
     WAKE = 1
 
 
-_STATE_LETTERS = {State.SLEEP: "S", State.WAKE: "W"}
 _LETTER_STATES = {"S": State.SLEEP, "W": State.WAKE}
 
 
@@ -117,7 +116,7 @@ class StateSequence:
         return int(self.states.size)
 
     def to_letters(self) -> list[str]:
-        return [_STATE_LETTERS[State(s)] for s in self.states]
+        return ["SW"[s] for s in self.states.tolist()]  # Sleep is 0, Wake 1
 
     @classmethod
     def from_letters(cls, letters, epoch_seconds: int) -> "StateSequence":

@@ -1,10 +1,13 @@
-"""Randomized self-checks against the brute-force path-enumeration oracles.
+"""Brute-force path-enumeration oracles and randomized self-checks.
 
-Generates random short instances (valid parameters plus observations),
-then cross-checks the scaled forward likelihood, posterior marginals and
-Viterbi path against exhaustive enumeration, and checks EM ascent on a
-few simulated series.  The check functions are injectable so tests can
-demonstrate that a faulty implementation is caught.
+The oracles score every one of the 2^T state paths of a short sequence
+with one path scorer and derive the likelihood, the posteriors and the
+most probable path from those scores.  The self-checks generate random
+short instances (valid parameters plus observations), cross-check the
+scaled forward likelihood, posterior marginals and Viterbi path against
+the oracles, and check EM ascent on a few simulated series.  The check
+functions are injectable so tests can demonstrate that a faulty
+implementation is caught.
 """
 
 from __future__ import annotations
@@ -12,15 +15,83 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import logsumexp
 
 from . import hmm
 from .emissions import SleepEmission, WakeEmission
-from .series import LogSeries, log_transform
+from .errors import InputError
+from .series import LogSeries, StateSequence, log_transform
 from .simulate import SimSpec, reference_params, simulate
 
 FORWARD_REL_TOL = 1e-10
 POSTERIOR_TOL = 1e-10
 EM_ASCENT_TOL = 1e-9
+BRUTE_FORCE_MAX_T = 16
+
+
+def score_paths(obs: LogSeries, params: hmm.HmmParams, paths: np.ndarray) -> np.ndarray:
+    """(N,) log P(path, observations | params) for each row of an (N, T) int8 matrix.
+
+    Summed left to right as (logp + log a[prev, cur]) + log b[cur, t], the
+    operation order of ``hmm.viterbi``, so a decoded path scores bitwise
+    equal to its enumerated score, and coincidentally tied paths (e.g. two
+    zero epochs swapping states) tie here exactly when they tie in Viterbi.
+    """
+    logb, log_a, log_pi = hmm.log_terms(obs, params)
+    logp = log_pi[paths[:, 0]] + logb[paths[:, 0], 0]
+    for t in range(1, paths.shape[1]):
+        logp = (logp + log_a[paths[:, t - 1], paths[:, t]]) + logb[paths[:, t], t]
+    return logp
+
+
+def path_log_probability(obs: LogSeries, params: hmm.HmmParams, states: StateSequence) -> float:
+    """log P(states, observations | params) for one explicit path."""
+    return float(score_paths(obs, params, states.states[None, :])[0])
+
+
+def _path_log_probs(obs: LogSeries, params: hmm.HmmParams) -> tuple[np.ndarray, np.ndarray]:
+    """Scores of all 2^T paths and the (2^T, T) paths in lexicographic order."""
+    T = len(obs)
+    if T > BRUTE_FORCE_MAX_T:
+        raise InputError(
+            f"brute-force oracle refuses T={T} > {BRUTE_FORCE_MAX_T}"
+        )
+    n = np.arange(2**T, dtype=np.int64)
+    paths = ((n[:, None] >> np.arange(T - 1, -1, -1)) & 1).astype(np.int8)
+    return score_paths(obs, params, paths), paths
+
+
+def brute_force_likelihood(obs: LogSeries, params: hmm.HmmParams) -> float:
+    """log P(observations | params) by summing over all 2^T paths."""
+    logp, _ = _path_log_probs(obs, params)
+    return float(logsumexp(logp))
+
+
+def brute_force_posteriors(obs: LogSeries, params: hmm.HmmParams) -> np.ndarray:
+    """(T, 2) state posteriors by exhaustive enumeration."""
+    logp, paths = _path_log_probs(obs, params)
+    weights = np.exp(logp - logsumexp(logp))
+    gamma = np.empty((paths.shape[1], 2))
+    gamma[:, 1] = weights @ paths
+    gamma[:, 0] = 1.0 - gamma[:, 1]
+    return gamma
+
+
+def brute_force_viterbi(obs: LogSeries, params: hmm.HmmParams) -> StateSequence:
+    """Enumeration argmax path under the same sleep-leaning tie rule.
+
+    Viterbi backpointer ties favor sleep from the final epoch backwards,
+    which selects the maximizing path whose reversed state tuple is
+    lexicographically smallest; the enumeration reproduces that rule.
+    """
+    logp, paths = _path_log_probs(obs, params)
+    best = np.max(logp)
+    tied = np.flatnonzero(logp == best)
+    # reversed-lex order: compare final states first
+    rev_keys = paths[tied][:, ::-1]
+    order = np.lexsort(rev_keys.T[::-1])
+    winner = paths[tied[order[0]]]
+    return StateSequence(winner, obs.epoch_seconds)
 
 
 @dataclass(frozen=True)
@@ -91,26 +162,23 @@ def run_verification(
     for inst_seed in instance_seeds:
         inst_rng = np.random.Generator(np.random.PCG64(int(inst_seed)))
         obs, params = random_instance(inst_rng, max_t)
-        exact = hmm.brute_force_likelihood(obs, params)
+        exact = brute_force_likelihood(obs, params)
         got = forward_fn(obs, params)
         rel = abs(got - exact) / max(1.0, abs(exact))
         fwd_worst = max(fwd_worst, rel)
         if rel > FORWARD_REL_TOL and fwd_bad is None:
             fwd_bad = int(inst_seed)
         decoded = viterbi_fn(obs, params)
-        if not np.array_equal(
-            decoded.states, hmm.brute_force_viterbi(obs, params).states
-        ):
+        expected = brute_force_viterbi(obs, params)
+        if not np.array_equal(decoded.states, expected.states):
             # adjacent equal observations can tie two paths exactly; the
             # decode is still correct if it attains the enumeration max
-            best = hmm.path_log_probability(
-                obs, params, hmm.brute_force_viterbi(obs, params)
-            )
-            if hmm.path_log_probability(obs, params, decoded) != best:
+            best = path_log_probability(obs, params, expected)
+            if path_log_probability(obs, params, decoded) != best:
                 if vit_bad is None:
                     vit_bad = int(inst_seed)
         err = np.max(
-            np.abs(posterior_fn(obs, params) - hmm.brute_force_posteriors(obs, params))
+            np.abs(posterior_fn(obs, params) - brute_force_posteriors(obs, params))
         )
         post_worst = max(post_worst, float(err))
         if err > POSTERIOR_TOL and post_bad is None:

@@ -44,6 +44,7 @@ from actisleep import (
     simulate,
     simulate_from_states,
     smooth,
+    verify,
 )
 from actisleep.emissions import (
     SleepEmission,
@@ -109,7 +110,7 @@ class TestCriterion1Forward:
         worst = 0.0
         for _ in range(500):
             obs, params = random_instance(rng, 12)
-            exact = hmm.brute_force_likelihood(obs, params)
+            exact = verify.brute_force_likelihood(obs, params)
             got = hmm.forward_log_likelihood(obs, params)
             worst = max(worst, abs(got - exact) / max(1.0, abs(exact)))
         elapsed = time.perf_counter() - start
@@ -125,7 +126,7 @@ class TestCriterion2Viterbi:
         # zero observations create paths tied in exact arithmetic; there
         # the decode must still attain the enumeration maximum exactly,
         # and the Sleep-first rule is checked on constructed exact ties.
-        from actisleep.hmm import _path_log_probs, path_log_probability
+        from actisleep.verify import _path_log_probs, path_log_probability
 
         start = time.perf_counter()
         rng = np.random.Generator(np.random.PCG64(2))
@@ -133,7 +134,7 @@ class TestCriterion2Viterbi:
         for _ in range(200):
             obs, params = random_instance(rng, 12)
             got = hmm.viterbi(obs, params)
-            expected = hmm.brute_force_viterbi(obs, params)
+            expected = verify.brute_force_viterbi(obs, params)
             if np.array_equal(got.states, expected.states):
                 continue
             logp, _ = _path_log_probs(obs, params)

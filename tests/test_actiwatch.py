@@ -110,6 +110,33 @@ class TestFindSleepEnd:
         with pytest.raises(InputError):
             find_sleep_end(np.zeros(10), 30, -1, AsConfig())
 
+    def test_window_longer_than_the_data_before_get_up(self):
+        # 30 s epochs: the 12-epoch block cannot end at or before epoch 5
+        assert find_sleep_end(np.zeros(60), 30, 5, AsConfig()) is None
+        assert find_sleep_end(np.zeros(60), 30, 11, AsConfig()) == 11
+
+
+class TestWindowLength:
+    @pytest.mark.parametrize(
+        "minutes", [{"start_window_minutes": 0.2}, {"end_window_minutes": 0.2},
+                    {"start_window_minutes": 0.25, "end_window_minutes": 0.25}]
+    )
+    def test_window_under_one_epoch_rejected(self, minutes):
+        series = _series(np.zeros(2880, dtype=np.int64), 30)
+        with pytest.raises(ConfigError, match="window"):
+            as_score(series, StudyWindow(0, 2880, 0, 2879), AsConfig(**minutes))
+
+    def test_one_epoch_window_accepted(self):
+        cfg = AsConfig(
+            start_window_minutes=0.5,
+            end_window_minutes=0.5,
+            start_tolerance_minutes=0.0,
+            end_tolerance_epochs=0,
+        )
+        scores = np.array([9.0, 0.0, 9.0, 0.0, 9.0])
+        assert find_sleep_start(scores, 30, 0, cfg) == 1
+        assert find_sleep_end(scores, 30, 4, cfg) == 3
+
 
 class TestAsScore:
     def _night(self):

@@ -1,5 +1,6 @@
 """End-to-end CLI tests: pipeline wiring, exit codes, determinism."""
 
+import hashlib
 import json
 from datetime import timedelta
 
@@ -209,6 +210,20 @@ class TestAsScore:
         assert "sleep_start=" in diag
         assert "all_wake_fallback=" in diag
 
+    def test_window_under_one_epoch_exits_1(self, sim, capsys):
+        series = read_epoch_csv(sim["epochs"])
+        window = sim["dir"] / "window.txt"
+        _write_window(window, series, 0, 2000, 0, 1999)
+        out = sim["dir"] / "as.csv"
+        code, _, err = _run(
+            capsys,
+            "as-score", str(sim["epochs"]), "--window", str(window),
+            "--out", str(out), "--start-window-min", "0.2", "--end-window-min", "0.2",
+        )
+        assert code == 1
+        assert "window" in err
+        assert not out.exists()
+
 
 class TestCompare:
     def test_report_layout(self, sim, capsys):
@@ -239,6 +254,38 @@ class TestCompare:
         acc = float(lines[1].split(",")[header.index("pred_accuracy")])
         assert 0.5 < acc <= 1.0
 
+    def _compare(self, sim, capsys, preds):
+        series = read_epoch_csv(sim["epochs"])
+        window = sim["dir"] / "window.txt"
+        _write_window(window, series, 0, 2000, 0, 1999)
+        out = sim["dir"] / "report.csv"
+        flags = [arg for pred in preds for arg in ("--pred", str(pred))]
+        code, stdout, _ = _run(
+            capsys,
+            "compare", "--truth", str(sim["labels"]), *flags,
+            "--epochs", str(sim["epochs"]), "--window", str(window),
+            "--out", str(out), "--json",
+        )
+        assert code == 0
+        header = out.read_text().splitlines()[0].split(",")
+        assert len(header) == len(set(header))
+        return header, json.loads(stdout)["predictors"]
+
+    def test_stem_named_truth_gets_a_suffix(self, sim, capsys):
+        pred = sim["dir"] / "truth.csv"
+        pred.write_bytes(sim["labels"].read_bytes())
+        header, names = self._compare(sim, capsys, [pred])
+        assert names == ["truth_1"]
+        assert "truth_1_accuracy" in header
+
+    def test_repeated_stems_get_unused_suffixes(self, sim, capsys):
+        (sim["dir"] / "x").mkdir()
+        preds = [sim["dir"] / "a.csv", sim["dir"] / "a_2.csv", sim["dir"] / "x" / "a.csv"]
+        for pred in preds:
+            pred.write_bytes(sim["labels"].read_bytes())
+        _, names = self._compare(sim, capsys, preds)
+        assert names == ["a", "a_2", "a_1"]
+
     def test_length_mismatch_exits_1(self, sim, capsys):
         series = read_epoch_csv(sim["epochs"])
         window = sim["dir"] / "window.txt"
@@ -255,6 +302,36 @@ class TestCompare:
         )
         assert code == 2
         assert "short.csv" in err
+
+
+class TestGoldenBytes:
+    """Pinned output hashes: a change to what the pipeline writes is explicit.
+
+    The fitted parameter file is left out, because BLAS summation order
+    can change its last digits; the labels decoded from it are pinned.
+    """
+
+    GOLDEN = {
+        "rec.epochs.csv": "79bb2fe20f6ba92bae0c8431267af1d7326e9fbff746dd75d788912a15290b73",
+        "rec.labels.csv": "c728632e859f41b1da59d6a67c982cd59f9a2340bf29d9552eceffd9c359cf17",
+        "rec.params.txt": "36930acb0ea0b5d586aa785d853e2e974c5907d7dd58e65fe679b02046e8001f",
+        "scored.csv": "e11d68e8d8e59c79a2eef5b8925b2ca0596cd87a4cfde30411c6d5db6d9bb39b",
+    }
+
+    def test_simulate_and_inline_score(self, tmp_path, capsys):
+        assert _run(
+            capsys,
+            "simulate", "--t", "2880", "--seed", "7", "--out-prefix", str(tmp_path / "rec"),
+        )[0] == 0
+        assert _run(
+            capsys,
+            "score", str(tmp_path / "rec.epochs.csv"), "--out", str(tmp_path / "scored.csv"),
+        )[0] == 0
+        got = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in self.GOLDEN
+        }
+        assert got == self.GOLDEN
 
 
 class TestVerify:
@@ -337,6 +414,30 @@ class TestUsageErrors:
         code, _, err = _run(capsys, "verify", *flags)
         assert code == 3
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["fit", "score"])
+    @pytest.mark.parametrize(
+        "flags",
+        [["--max-iter", "-1"], ["--tol", "nan"], ["--tol", "0"], ["--tol=-1e-6"],
+         ["--tol", "inf"]],
+    )
+    def test_em_flag_out_of_range_exits_3(self, tmp_path, capsys, command, flags):
+        out = "--out-params" if command == "fit" else "--out"
+        code, _, err = _run(
+            capsys, command, str(tmp_path / "rec.csv"), out, str(tmp_path / "o"), *flags
+        )
+        assert code == 3
+        assert "Traceback" not in err
+
+    def test_em_flag_range_ends_accepted(self, sim, capsys):
+        params = sim["dir"] / "fit.txt"
+        code, out, _ = _run(
+            capsys,
+            "fit", str(sim["epochs"]), "--out-params", str(params),
+            "--max-iter", "0", "--tol", "1e-300", "--json",
+        )
+        assert code == 0
+        assert json.loads(out)["iterations"] == 0
 
     def test_verify_flag_range_ends_accepted(self, capsys):
         assert _run(capsys, "verify", "--trials", "0", "--max-t", "16")[0] == 0

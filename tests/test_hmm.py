@@ -258,7 +258,7 @@ class TestViterbi:
         # zero-count epochs can produce genuinely tied paths (equal
         # probability in exact arithmetic); there the decoded path must
         # still attain the enumeration maximum exactly.
-        from actisleep.hmm import _path_log_probs, path_log_probability
+        from actisleep.verify import _path_log_probs, path_log_probability
 
         rng = np.random.Generator(np.random.PCG64(14))
         n_tied = 0
@@ -294,7 +294,7 @@ class TestViterbi:
             )
 
     def test_path_log_prob_equals_enumeration_max(self):
-        from actisleep.hmm import _path_log_probs
+        from actisleep.verify import _path_log_probs
 
         rng = np.random.Generator(np.random.PCG64(16))
         for _ in range(50):
@@ -355,7 +355,7 @@ class TestAgainstReferenceLoops:
         assert np.allclose(xi_sum, ref_xi.sum(axis=0), rtol=1e-10, atol=1e-12)
 
     def test_viterbi(self, reference_case):
-        from actisleep.hmm import path_log_probability
+        from actisleep.verify import path_log_probability
 
         obs, params = reference_case
         got = viterbi(obs, params)
@@ -367,7 +367,7 @@ class TestAgainstReferenceLoops:
             obs, params, StateSequence(expected, obs.epoch_seconds)
         )
         if len(obs) <= 16:
-            from actisleep.hmm import _path_log_probs
+            from actisleep.verify import _path_log_probs
 
             logp, _ = _path_log_probs(obs, params)
             assert best == np.max(logp)
@@ -447,6 +447,25 @@ class TestBaumWelch:
         obs = LogSeries(np.ones(5), 30)
         with pytest.raises(InputError):
             baum_welch(obs, reference_params())
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-6, np.nan, np.inf])
+    def test_bad_tol_rejected(self, tol):
+        obs = LogSeries(np.ones(20), 30)
+        with pytest.raises(InputError, match="tol"):
+            baum_welch(obs, reference_params(), tol=tol)
+
+    def test_negative_max_iter_rejected(self):
+        obs = LogSeries(np.ones(20), 30)
+        with pytest.raises(InputError, match="max_iter"):
+            baum_welch(obs, reference_params(), max_iter=-1)
+
+    def test_zero_max_iter_scores_init(self):
+        obs = LogSeries(np.ones(20), 30)
+        report = baum_welch(obs, reference_params(), max_iter=0)
+        assert report.iterations == 0
+        assert report.log_likelihood_trace == [
+            forward_log_likelihood(obs, reference_params())
+        ]
 
     def test_swap_enforces_mu_ordering(self):
         series, _ = simulate(SimSpec(reference_params(), 2000, seed=24))
