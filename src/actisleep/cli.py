@@ -311,6 +311,14 @@ def _positive_finite(text: str) -> float:
     return value
 
 
+def _non_negative_finite(text: str) -> float:
+    """argparse type: a finite float >= 0; others exit 3 as bad flags."""
+    value = float(text)
+    if not 0 <= value < float("inf"):  # also false for NaN
+        raise argparse.ArgumentTypeError(f"{value} is not non-negative and finite")
+    return value
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="actisleep", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -338,7 +346,7 @@ def build_parser() -> _Parser:
     p.add_argument("epoch_csv")
     p.add_argument("--params", help="parameter file; omitted = fit inline")
     p.add_argument("--out", required=True)
-    p.add_argument("--min-minutes", type=float, default=15.0)
+    p.add_argument("--min-minutes", type=_non_negative_finite, default=15.0)
     p.add_argument("--tol", type=_positive_finite, default=hmm.DEFAULT_TOL)
     p.add_argument("--max-iter", type=_int_in(0), default=hmm.DEFAULT_MAX_ITER)
     p.add_argument("--json", action="store_true")

@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
-from scipy.special import log_ndtr
 
 from .errors import DegenerateWeightError, InputError
 
@@ -74,6 +72,8 @@ def _log_norm_pdf(z):
 
 def _log_trunc_mass(mu: float, sigma: float) -> float:
     """log P(N(mu, sigma^2) > 0), the truncation normalizer."""
+    from scipy.special import log_ndtr
+
     return float(log_ndtr(mu / sigma))
 
 
@@ -139,6 +139,8 @@ def fit_wake_weighted(obs, weights) -> WakeEmission:
 
 def _trunc_loglik(mu: float, sigma: float, o, wt) -> float:
     """Weighted truncated-normal log-likelihood."""
+    from scipy.special import log_ndtr
+
     z = (o - mu) / sigma
     wsum = np.sum(wt)
     return float(
@@ -148,6 +150,8 @@ def _trunc_loglik(mu: float, sigma: float, o, wt) -> float:
 
 def _trunc_grad_hess(mu: float, sigma: float, o, wt):
     """Gradient and Hessian of the weighted truncated-normal log-likelihood."""
+    from scipy.special import log_ndtr
+
     z = (o - mu) / sigma
     s = mu / sigma
     W = float(np.sum(wt))
@@ -177,6 +181,8 @@ def _in_box(mu: float, sigma: float) -> bool:
 
 def _coordinate_search(o, wt, mu: float, sigma: float) -> tuple[float, float]:
     """Bounded per-coordinate maximization, the fallback when Newton leaves the box."""
+    from scipy.optimize import minimize_scalar
+
     for _ in range(20):
         mu_prev, sigma_prev = mu, sigma
         res = minimize_scalar(

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc
 
 from .errors import InputError, UndefinedStatisticError
 from .series import State, StateSequence, StudyWindow
@@ -147,6 +146,8 @@ def paired_t(x, y) -> tuple[float, int, float]:
     The p-value comes from the Student-t distribution via the
     regularized incomplete beta function.
     """
+    from scipy.special import betainc
+
     xa = np.asarray(x, dtype=np.float64)
     ya = np.asarray(y, dtype=np.float64)
     if xa.shape != ya.shape or xa.ndim != 1 or xa.size < 2:

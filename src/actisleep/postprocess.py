@@ -56,10 +56,11 @@ def smooth(states: StateSequence, min_minutes: float = 15.0) -> StateSequence:
     Runs lasting at least ``min_minutes`` survive; strictly shorter runs
     are relabeled and merged until none remain (or the whole sequence is
     one run).  The output has the same length as the input and the
-    operation is idempotent.
+    operation is idempotent.  ``min_minutes`` must be finite and >= 0
+    (InputError otherwise).
     """
-    if min_minutes < 0:
-        raise InputError("min_minutes must be non-negative")
+    if not 0 <= min_minutes < np.inf:  # also false for NaN
+        raise InputError(f"min_minutes must be non-negative and finite, got {min_minutes}")
     min_epochs = min_minutes * 60.0 / states.epoch_seconds
     starts, run_lengths = _run_arrays(states.states)
     n_runs = len(starts)

@@ -69,6 +69,10 @@ class EpochSeries:
             raise InputError("activity counts must be non-negative")
         if not _valid_epoch_seconds(self.epoch_seconds):
             raise InputError(_SUPPORTED_EPOCH_SECONDS_MSG)
+        try:
+            self.timestamp(counts.size - 1)
+        except OverflowError:
+            raise InputError("epoch timestamps run past year 9999") from None
         object.__setattr__(self, "counts", _freeze(counts))
 
     def __len__(self) -> int:
@@ -149,9 +153,6 @@ class StudyWindow:
             )
 
 
-_TS_FORMAT = "%Y-%m-%dT%H:%M:%SZ"
-
-
 def parse_timestamp(text: str) -> datetime:
     """Parse an ISO-8601 UTC timestamp at second resolution."""
     try:
@@ -164,7 +165,8 @@ def parse_timestamp(text: str) -> datetime:
 
 
 def format_timestamp(ts: datetime) -> str:
-    return ts.astimezone(timezone.utc).strftime(_TS_FORMAT)
+    """``YYYY-MM-DDTHH:MM:SSZ`` in UTC, the year zero-padded to four digits."""
+    return ts.astimezone(timezone.utc).replace(tzinfo=None).isoformat(timespec="seconds") + "Z"
 
 
 @contextmanager
@@ -227,11 +229,22 @@ def read_epoch_csv(path) -> EpochSeries:
     return EpochSeries(timestamps[0], epoch_seconds, np.array(counts, dtype=np.int64))
 
 
+_WRITE_CHUNK = 8192  # rows formatted at a time; bounds the strings held at once
+
+
 def write_epoch_csv(series: EpochSeries, path) -> None:
+    """Write ``timestamp,count`` rows; row i is ``format_timestamp(series.timestamp(i))``."""
+    # Sub-second parts are truncated on output and every step is whole
+    # seconds, so the range can start from the truncated start time.
+    start = series.start_time.astimezone(timezone.utc).replace(tzinfo=None, microsecond=0)
+    base = np.datetime64(start, "s")
     with open(path, "w", newline="") as fh:
         fh.write("timestamp,count\n")
-        for i, count in enumerate(series.counts):
-            fh.write(f"{format_timestamp(series.timestamp(i))},{count}\n")
+        for lo in range(0, len(series), _WRITE_CHUNK):
+            counts = series.counts[lo : lo + _WRITE_CHUNK].tolist()
+            steps = np.arange(lo, lo + len(counts), dtype=np.int64) * series.epoch_seconds
+            stamps = np.datetime_as_string(base + steps, unit="s").tolist()
+            fh.writelines(f"{ts}Z,{count}\n" for ts, count in zip(stamps, counts))
 
 
 def read_label_csv(path, expected_len: int, epoch_seconds: int = 30) -> StateSequence:
@@ -243,8 +256,8 @@ def read_label_csv(path, expected_len: int, epoch_seconds: int = 30) -> StateSeq
             raise FormatError(
                 f"{path}: expected header 'epoch_index,state', got {header}"
             )
-        seen = np.zeros(expected_len, dtype=bool)
-        states = np.zeros(expected_len, dtype=np.int8)
+        seen = bytearray(expected_len)
+        states = bytearray(expected_len)
         n_rows = 0
         for row_no, row in enumerate(reader, start=1):
             if not row:
@@ -266,14 +279,14 @@ def read_label_csv(path, expected_len: int, epoch_seconds: int = 30) -> StateSeq
             token = row[1].strip()
             if token not in _LETTER_STATES:
                 raise FormatError(f"{path}: row {row_no}: unknown state token {token!r}")
-            seen[idx] = True
+            seen[idx] = 1
             states[idx] = _LETTER_STATES[token]
             n_rows += 1
     if n_rows != expected_len:
         raise FormatError(
             f"{path}: {n_rows} labeled epochs, expected {expected_len}"
         )
-    return StateSequence(states, epoch_seconds)
+    return StateSequence(np.frombuffer(states, dtype=np.int8), epoch_seconds)
 
 
 def write_label_csv(states: StateSequence, path) -> None:

@@ -24,7 +24,7 @@ import numpy as np
 from .emissions import SleepEmission, WakeEmission
 from .errors import InputError
 from .hmm import HmmParams
-from .series import EpochSeries, State, StateSequence
+from .series import EpochSeries, StateSequence
 
 DEFAULT_START_TIME = datetime(2012, 5, 1, 21, 30, 0, tzinfo=timezone.utc)
 
@@ -55,37 +55,43 @@ class SimSpec:
 
 
 def _sample_states(params: HmmParams, t_epochs: int, rng: np.random.Generator) -> np.ndarray:
-    states = np.empty(t_epochs, dtype=np.int8)
-    u = rng.random(t_epochs)
-    states[0] = State.WAKE if u[0] >= params.pi[0] else State.SLEEP
-    stay0, stay1 = params.a[0, 0], params.a[1, 0]
+    u = memoryview(rng.random(t_epochs))  # Python floats per index, no list of them
+    # P(next state is Sleep | current state), indexed by Sleep 0 / Wake 1
+    p_sleep = (float(params.a[0, 0]), float(params.a[1, 0]))
+    states = bytearray(t_epochs)
+    s = 1 if u[0] >= params.pi[0] else 0
+    states[0] = s
     for t in range(1, t_epochs):
-        p_sleep = stay0 if states[t - 1] == State.SLEEP else stay1
-        states[t] = State.SLEEP if u[t] < p_sleep else State.WAKE
-    return states
-
-
-def _draw_nonnegative_normal(mu: float, sigma: float, rng: np.random.Generator) -> float:
-    while True:
-        v = rng.normal(mu, sigma)
-        if v >= 0.0:
-            return float(v)
+        s = 0 if u[t] < p_sleep[s] else 1
+        states[t] = s
+    return np.frombuffer(states, dtype=np.int8)
 
 
 def sample_log_values(
     states: np.ndarray, params: HmmParams, rng: np.random.Generator
 ) -> np.ndarray:
-    """Per-epoch log-scale emission draws for a given state path."""
-    values = np.empty(states.size, dtype=np.float64)
-    sleep, wake = params.sleep, params.wake
-    for t, s in enumerate(states):
-        if s == State.SLEEP:
-            if rng.random() < sleep.alpha:
-                values[t] = 0.0
-            else:
-                values[t] = _draw_nonnegative_normal(sleep.mu1, sleep.sigma1, rng)
-        else:
-            values[t] = _draw_nonnegative_normal(wake.mu2, wake.sigma2, rng)
+    """Per-epoch log-scale emission draws for a given state path.
+
+    A sleep epoch takes one uniform draw against alpha; a non-zero sleep
+    or any wake epoch then redraws its Gaussian until the value is >= 0.
+    """
+    random, normal = rng.random, rng.normal
+    alpha = float(params.sleep.alpha)
+    draws = (
+        (float(params.sleep.mu1), float(params.sleep.sigma1)),
+        (float(params.wake.mu2), float(params.wake.sigma2)),
+    )
+    values = np.zeros(states.size, dtype=np.float64)
+    out = memoryview(values)
+    for t, s in enumerate(states.tolist()):  # Sleep is 0, Wake 1
+        if s == 0 and random() < alpha:
+            continue  # the point mass: the value stays 0.0
+        mu, sigma = draws[s]
+        while True:
+            v = normal(mu, sigma)
+            if v >= 0.0:
+                break
+        out[t] = v
     return values
 
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import hmm
 from .emissions import SleepEmission, WakeEmission
@@ -63,12 +62,16 @@ def _path_log_probs(obs: LogSeries, params: hmm.HmmParams) -> tuple[np.ndarray, 
 
 def brute_force_likelihood(obs: LogSeries, params: hmm.HmmParams) -> float:
     """log P(observations | params) by summing over all 2^T paths."""
+    from scipy.special import logsumexp
+
     logp, _ = _path_log_probs(obs, params)
     return float(logsumexp(logp))
 
 
 def brute_force_posteriors(obs: LogSeries, params: hmm.HmmParams) -> np.ndarray:
     """(T, 2) state posteriors by exhaustive enumeration."""
+    from scipy.special import logsumexp
+
     logp, paths = _path_log_probs(obs, params)
     weights = np.exp(logp - logsumexp(logp))
     gamma = np.empty((paths.shape[1], 2))

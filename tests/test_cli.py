@@ -2,7 +2,11 @@
 
 import hashlib
 import json
-from datetime import timedelta
+import os
+import subprocess
+import sys
+from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -84,6 +88,32 @@ class TestSimulate:
         assert payload["t_epochs"] == 100
 
 
+    def test_start_before_year_1000_round_trips(self, tmp_path, capsys):
+        prefix = tmp_path / "old"
+        assert _run(
+            capsys, "simulate", "--t", "50", "--start", "0999-01-01T00:00:00Z",
+            "--out-prefix", str(prefix),
+        )[0] == 0
+        epochs = tmp_path / "old.epochs.csv"
+        assert epochs.read_text().splitlines()[1].startswith("0999-01-01T00:00:00Z,")
+        series = read_epoch_csv(epochs)
+        assert series.start_time == datetime(999, 1, 1, tzinfo=timezone.utc)
+        assert len(series) == 50
+        assert _run(
+            capsys, "score", str(epochs), "--params", str(tmp_path / "old.params.txt"),
+            "--out", str(tmp_path / "old.out.csv"),
+        )[0] == 0
+
+    def test_timestamps_past_year_9999_exit_1(self, tmp_path, capsys):
+        code, _, err = _run(
+            capsys, "simulate", "--t", "3", "--start", "9999-12-31T23:59:00Z",
+            "--out-prefix", str(tmp_path / "late"),
+        )
+        assert code == 1
+        assert "past year 9999" in err
+        assert "Traceback" not in err
+
+
 class TestFit:
     def test_fit_writes_params_and_log(self, sim, capsys):
         out_params = sim["dir"] / "fit.params.txt"
@@ -144,6 +174,18 @@ class TestScore:
         expected = viterbi(log_transform(series), hmm.read_params(sim["params"]))
         assert np.array_equal(got.states, expected.states)
 
+
+    @pytest.mark.parametrize("value", ["-3", "nan", "inf"])
+    def test_bad_min_minutes_exits_3(self, sim, capsys, value):
+        out = sim["dir"] / "bad.csv"
+        code, _, err = _run(
+            capsys,
+            "score", str(sim["epochs"]), "--params", str(sim["params"]),
+            "--out", str(out), f"--min-minutes={value}",
+        )
+        assert code == 3
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_single_loud_epoch_exits_0(self, tmp_path, capsys):
         # a quiet recording with one loud final epoch leaves the wake
@@ -393,6 +435,22 @@ class TestBadInputFiles:
         code, _, err = _run(capsys, *argv, "--out", str(sim["dir"] / "out.csv"))
         assert code == 2
         assert f"{path}: not UTF-8" in err
+
+
+class TestImports:
+    def test_cli_import_loads_no_scipy(self):
+        # scipy is imported inside the functions that call it, so the
+        # subcommands that never reach it do not pay for loading it
+        code = (
+            "import sys, actisleep, actisleep.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])  # the package under test
+        out = subprocess.run(
+            [sys.executable, "-c", code], check=True, capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        ).stdout
+        assert out.strip() == "[]"
 
 
 class TestUsageErrors:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from actisleep import RunLength, runs_of, smooth
+from actisleep.errors import InputError
 from actisleep.series import StateSequence
 
 
@@ -100,6 +101,11 @@ class TestWorkedExamples:
     def test_min_minutes_zero_is_identity(self):
         states = _seq("SWSWSW")
         assert np.array_equal(smooth(states, 0).states, states.states)
+
+    @pytest.mark.parametrize("min_minutes", [-3.0, float("nan"), float("inf")])
+    def test_bad_min_minutes_rejected(self, min_minutes):
+        with pytest.raises(InputError, match="non-negative and finite"):
+            smooth(_seq("SWSWSW"), min_minutes)
 
     def test_single_run_unchanged(self):
         states = _seq("W" * 7)

@@ -1,7 +1,7 @@
 """Data model and file-format tests: CSV ingest, labels, windows, log transform."""
 
 import math
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 
 import mpmath
 import numpy as np
@@ -20,6 +20,7 @@ from actisleep import (
     write_epoch_csv,
     write_label_csv,
 )
+from actisleep import series as series_module
 from actisleep.errors import EmptyInputError, FormatError, InputError
 from actisleep.series import (
     format_timestamp,
@@ -60,6 +61,12 @@ class TestEpochSeries:
     @pytest.mark.parametrize("epoch_seconds", [15, 30, 60, 120, 1, 5, 180])
     def test_supported_epoch_lengths(self, epoch_seconds):
         EpochSeries(START, epoch_seconds, [1])
+
+    def test_timestamps_past_year_9999_rejected(self):
+        start = datetime(9999, 12, 31, 23, 59, 0, tzinfo=timezone.utc)
+        assert EpochSeries(start, 30, [1, 2]).timestamp(1).second == 30
+        with pytest.raises(InputError, match="past year 9999"):
+            EpochSeries(start, 30, [1, 2, 3])
 
     @pytest.mark.parametrize("epoch_seconds", [0, -30, 45, 90])
     def test_unsupported_epoch_lengths(self, epoch_seconds):
@@ -143,6 +150,44 @@ class TestReadEpochCsv:
         with pytest.raises(FormatError, match="header"):
             read_epoch_csv(path)
 
+    @pytest.mark.parametrize("epoch_seconds", [15, 30, 60, 120, 3600])
+    @pytest.mark.parametrize(
+        "start",
+        [
+            datetime(2012, 5, 1, 21, 30, 17, 654321, tzinfo=timezone.utc),
+            datetime(1969, 12, 31, 23, 58, 45, tzinfo=timezone(timedelta(hours=-5))),
+            datetime(999, 1, 1, 0, 0, 0, tzinfo=timezone.utc),
+        ],
+    )
+    def test_writer_rows_match_format_timestamp(self, tmp_path, start, epoch_seconds):
+        counts = np.arange(200) * 7919 % 1000
+        series = EpochSeries(start, epoch_seconds, counts)
+        path = tmp_path / "rec.csv"
+        write_epoch_csv(series, path)
+        expected = ["timestamp,count"] + [
+            f"{format_timestamp(series.timestamp(i))},{c}" for i, c in enumerate(counts)
+        ]
+        assert path.read_text().split("\n") == expected + [""]
+
+    def test_writer_rows_across_chunks(self, tmp_path):
+        n = 2 * series_module._WRITE_CHUNK + 3
+        series = EpochSeries(START, 30, np.arange(n))
+        path = tmp_path / "rec.csv"
+        write_epoch_csv(series, path)
+        lines = path.read_text().splitlines()
+        assert len(lines) == n + 1
+        for i in (0, series_module._WRITE_CHUNK - 1, series_module._WRITE_CHUNK, n - 1):
+            assert lines[i + 1] == f"{format_timestamp(series.timestamp(i))},{i}"
+
+    def test_year_999_round_trip(self, tmp_path):
+        start = datetime(999, 1, 1, tzinfo=timezone.utc)
+        path = tmp_path / "rec.csv"
+        write_epoch_csv(EpochSeries(start, 30, [0, 5, 9]), path)
+        assert path.read_text().splitlines()[1] == "0999-01-01T00:00:00Z,0"
+        again = read_epoch_csv(path)
+        assert again.start_time == start
+        assert again.epoch_seconds == 30
+
     def test_round_trip_byte_identical(self, tmp_path):
         path = _epoch_csv(
             tmp_path,
@@ -182,6 +227,27 @@ class TestLabelCsv:
         path.write_text("epoch_index,state\n0,S\n0,W\n")
         with pytest.raises(FormatError, match="duplicate"):
             read_label_csv(path, 2)
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("0,S\n-1,W\n", "row 2: index -1 outside 0..1"),
+            ("0,S\n2,W\n", "row 2: index 2 outside 0..1"),
+            ("0,S\nx,W\n", "row 2: bad epoch index 'x'"),
+            ("0,S\n1\n", "row 2: expected 2 fields"),
+            ("1,S\n1,N\n", "row 2: duplicate index 1"),
+        ],
+    )
+    def test_bad_rows_named(self, tmp_path, rows, message):
+        path = tmp_path / "labels.csv"
+        path.write_text("epoch_index,state\n" + rows)
+        with pytest.raises(FormatError, match=message):
+            read_label_csv(path, 2)
+
+    def test_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        path.write_text("epoch_index,state\n\n1, W\n\n0,S\n")
+        assert read_label_csv(path, 2).to_letters() == ["S", "W"]
 
     def test_round_trip(self, tmp_path):
         seq = StateSequence(np.array([0, 1, 1, 0], dtype=np.int8), 30)
@@ -346,6 +412,15 @@ class TestTimestamps:
     def test_round_trip(self):
         text = "2012-05-01T21:30:00Z"
         assert format_timestamp(parse_timestamp(text)) == text
+
+    def test_year_zero_padded(self):
+        ts = datetime(999, 3, 4, 5, 6, 7, 890, tzinfo=timezone.utc)
+        assert format_timestamp(ts) == "0999-03-04T05:06:07Z"
+        assert parse_timestamp(format_timestamp(ts)) == ts.replace(microsecond=0)
+
+    def test_converted_to_utc(self):
+        ts = datetime(1970, 1, 1, 1, 0, 0, tzinfo=timezone(timedelta(hours=2)))
+        assert format_timestamp(ts) == "1969-12-31T23:00:00Z"
 
     def test_bad_timestamp(self):
         with pytest.raises(FormatError):

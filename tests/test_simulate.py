@@ -7,8 +7,9 @@ import pytest
 from actisleep import SimSpec, reference_params, simulate, simulate_from_states
 from actisleep.errors import InputError
 from actisleep.hmm import HmmParams
-from actisleep.emissions import SleepEmission, WakeEmission
+from actisleep.emissions import ALPHA_MAX, ALPHA_MIN, SleepEmission, WakeEmission
 from actisleep.series import State, StateSequence, log_transform
+from actisleep.simulate import _sample_states, sample_log_values
 
 mp.mp.dps = 50
 
@@ -32,6 +33,110 @@ def _model_zero_prob(sleep):
     tail = 1 - cdf(0)
     slice_mass = (cdf(mp.log(mp.mpf(3) / 2)) - cdf(0)) / tail
     return float(alpha + (1 - alpha) * slice_mass)
+
+
+def _reference_sample_states(params, t_epochs, rng):
+    """The per-epoch numpy loop the plain-float sampler replaced."""
+    states = np.empty(t_epochs, dtype=np.int8)
+    u = rng.random(t_epochs)
+    states[0] = State.WAKE if u[0] >= params.pi[0] else State.SLEEP
+    stay0, stay1 = params.a[0, 0], params.a[1, 0]
+    for t in range(1, t_epochs):
+        p_sleep = stay0 if states[t - 1] == State.SLEEP else stay1
+        states[t] = State.SLEEP if u[t] < p_sleep else State.WAKE
+    return states
+
+
+def _reference_draw_nonnegative_normal(mu, sigma, rng):
+    while True:
+        v = rng.normal(mu, sigma)
+        if v >= 0.0:
+            return float(v)
+
+
+def _reference_sample_log_values(states, params, rng):
+    values = np.empty(states.size, dtype=np.float64)
+    sleep, wake = params.sleep, params.wake
+    for t, s in enumerate(states):
+        if s == State.SLEEP:
+            if rng.random() < sleep.alpha:
+                values[t] = 0.0
+            else:
+                values[t] = _reference_draw_nonnegative_normal(sleep.mu1, sleep.sigma1, rng)
+        else:
+            values[t] = _reference_draw_nonnegative_normal(wake.mu2, wake.sigma2, rng)
+    return values
+
+
+class TestStreamIdentity:
+    """The sampler consumes the generator exactly as the reference loops do."""
+
+    PARAMS = {
+        "reference": reference_params(),
+        "heavy_rejection": _params(mu1=-1.5, mu2=-0.5, sigma1=0.7, sigma2=0.6),
+        "alpha_low_clamp": _params(alpha=ALPHA_MIN),
+        "alpha_high_clamp": _params(alpha=ALPHA_MAX),
+        "sleep_less_sticky": _params(a11=0.2, a22=0.1),
+        "pi_sleep": _params(pi0=1.0),
+        "pi_wake": _params(pi0=0.0),
+    }
+
+    @staticmethod
+    def _sample(sample_states, sample_values, params, t_epochs, seed):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        states = sample_states(params, t_epochs, rng)
+        values = sample_values(states, params, rng)
+        return states, values, rng.random()
+
+    @pytest.mark.parametrize("seed", [0, 7, 12345])
+    @pytest.mark.parametrize("t_epochs", [1, 2, 3000])
+    @pytest.mark.parametrize("name", sorted(PARAMS))
+    def test_bitwise_equal_to_reference(self, name, t_epochs, seed):
+        params = self.PARAMS[name]
+        got = self._sample(_sample_states, sample_log_values, params, t_epochs, seed)
+        want = self._sample(
+            _reference_sample_states, _reference_sample_log_values, params, t_epochs, seed
+        )
+        assert got[0].dtype == want[0].dtype == np.int8
+        assert np.array_equal(got[0], want[0])
+        assert got[1].dtype == want[1].dtype
+        assert np.array_equal(got[1].view(np.int64), want[1].view(np.int64))
+        assert got[2] == want[2]  # the generator is left in the same state
+
+    def test_cases_reach_the_branches(self):
+        # heavy rejection redraws most Gaussians; with a[0,0] < a[1,0]
+        # sleep follows wake more often than sleep; pinned starts fix state 0
+        rng = np.random.Generator(np.random.PCG64(0))
+        normals = []
+
+        class CountingRng:
+            random = rng.random
+
+            def normal(self, mu, sigma):
+                normals.append(mu)
+                return rng.normal(mu, sigma)
+
+        p = self.PARAMS["heavy_rejection"]
+        values = sample_log_values(np.ones(2000, dtype=np.int8), p, CountingRng())
+        assert np.all(values >= 0)
+        assert len(normals) > 3 * 2000
+        states = _sample_states(self.PARAMS["sleep_less_sticky"], 3000, np.random.Generator(np.random.PCG64(1)))
+        after_sleep = states[1:][states[:-1] == State.SLEEP]
+        after_wake = states[1:][states[:-1] == State.WAKE]
+        assert np.mean(after_sleep == State.SLEEP) < 0.3 < 0.8 < np.mean(after_wake == State.SLEEP)
+        for name, first in (("pi_sleep", State.SLEEP), ("pi_wake", State.WAKE)):
+            for seed in range(20):
+                rng = np.random.Generator(np.random.PCG64(seed))
+                assert _sample_states(self.PARAMS[name], 1, rng)[0] == first
+
+    def test_simulate_from_states_matches_reference(self):
+        states = StateSequence.from_letters("S" * 40 + "W" * 25 + "S" * 35, 30)
+        params = self.PARAMS["heavy_rejection"]
+        series = simulate_from_states(states, params, seed=3)
+        rng = np.random.Generator(np.random.PCG64(3))
+        values = _reference_sample_log_values(states.states, params, rng)
+        expected = np.maximum(np.round(np.expm1(values)), 0.0).astype(np.int64)
+        assert np.array_equal(series.counts, expected)
 
 
 class TestDeterminism:
