@@ -41,15 +41,18 @@ class AsConfig:
     raw_thresholds: bool = False
 
     def __post_init__(self) -> None:
-        if (
-            self.immobility_start_cpm <= 0
-            or self.immobility_end_cpm <= 0
-            or self.start_window_minutes <= 0
-            or self.end_window_minutes <= 0
+        # NaN compares false, so each check is written to fail on it
+        for value in (
+            self.immobility_start_cpm,
+            self.immobility_end_cpm,
+            self.start_window_minutes,
+            self.end_window_minutes,
         ):
-            raise ConfigError("thresholds and windows must be positive")
-        if self.start_tolerance_minutes < 0 or self.end_tolerance_epochs < 0:
-            raise ConfigError("tolerances must be non-negative")
+            if not 0 < value < np.inf:
+                raise ConfigError("thresholds and windows must be positive and finite")
+        for value in (self.start_tolerance_minutes, self.end_tolerance_epochs):
+            if not 0 <= value < np.inf:
+                raise ConfigError("tolerances must be non-negative and finite")
 
 
 @dataclass(frozen=True)

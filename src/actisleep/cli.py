@@ -303,20 +303,19 @@ def _int_in(low: int, high: float = float("inf")):
     return int_in_range
 
 
-def _positive_finite(text: str) -> float:
-    """argparse type: a finite float > 0; others exit 3 as bad flags."""
-    value = float(text)
-    if not 0 < value < float("inf"):  # also false for NaN
-        raise argparse.ArgumentTypeError(f"{value} is not positive and finite")
-    return value
+def _finite_float(low: float, *, inclusive: bool = False):
+    """argparse type: a finite float above ``low`` (or equal to it if
+    ``inclusive``); others exit 3 as bad flags."""
 
+    def finite_float(text: str) -> float:
+        value = float(text)
+        above = low <= value if inclusive else low < value  # false for NaN
+        if not (above and value < float("inf")):
+            relation = ">=" if inclusive else ">"
+            raise argparse.ArgumentTypeError(f"{value} is not finite and {relation} {low:g}")
+        return value
 
-def _non_negative_finite(text: str) -> float:
-    """argparse type: a finite float >= 0; others exit 3 as bad flags."""
-    value = float(text)
-    if not 0 <= value < float("inf"):  # also false for NaN
-        raise argparse.ArgumentTypeError(f"{value} is not non-negative and finite")
-    return value
+    return finite_float
 
 
 def build_parser() -> _Parser:
@@ -325,7 +324,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("simulate", help="write a synthetic recording with truth labels")
     p.add_argument("--params", help="parameter file (default: reference parameters)")
-    p.add_argument("--t", type=int, default=2880, help="number of epochs")
+    p.add_argument("--t", type=_int_in(1), default=2880, help="number of epochs")
     p.add_argument("--epoch-seconds", type=int, default=30)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--start", help="ISO-8601 start timestamp")
@@ -337,7 +336,7 @@ def build_parser() -> _Parser:
     p.add_argument("epoch_csv")
     p.add_argument("--out-params", required=True)
     p.add_argument("--out-log", help="fit log path (default: params path with .log)")
-    p.add_argument("--tol", type=_positive_finite, default=hmm.DEFAULT_TOL)
+    p.add_argument("--tol", type=_finite_float(0), default=hmm.DEFAULT_TOL)
     p.add_argument("--max-iter", type=_int_in(0), default=hmm.DEFAULT_MAX_ITER)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_fit)
@@ -346,8 +345,8 @@ def build_parser() -> _Parser:
     p.add_argument("epoch_csv")
     p.add_argument("--params", help="parameter file; omitted = fit inline")
     p.add_argument("--out", required=True)
-    p.add_argument("--min-minutes", type=_non_negative_finite, default=15.0)
-    p.add_argument("--tol", type=_positive_finite, default=hmm.DEFAULT_TOL)
+    p.add_argument("--min-minutes", type=_finite_float(0, inclusive=True), default=15.0)
+    p.add_argument("--tol", type=_finite_float(0), default=hmm.DEFAULT_TOL)
     p.add_argument("--max-iter", type=_int_in(0), default=hmm.DEFAULT_MAX_ITER)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_score)
@@ -356,11 +355,11 @@ def build_parser() -> _Parser:
     p.add_argument("epoch_csv")
     p.add_argument("--window", required=True, help="window sidecar file")
     p.add_argument("--out", required=True)
-    p.add_argument("--immobility-start-cpm", type=float, default=4.0)
-    p.add_argument("--immobility-end-cpm", type=float, default=6.0)
-    p.add_argument("--start-window-min", type=float, default=10.0)
-    p.add_argument("--end-window-min", type=float, default=6.0)
-    p.add_argument("--end-tolerance-epochs", type=int, default=2)
+    p.add_argument("--immobility-start-cpm", type=_finite_float(0), default=4.0)
+    p.add_argument("--immobility-end-cpm", type=_finite_float(0), default=6.0)
+    p.add_argument("--start-window-min", type=_finite_float(0), default=10.0)
+    p.add_argument("--end-window-min", type=_finite_float(0), default=6.0)
+    p.add_argument("--end-tolerance-epochs", type=_int_in(0), default=2)
     p.add_argument("--as-raw-thresholds", action="store_true")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_as_score)

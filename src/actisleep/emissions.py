@@ -1,16 +1,15 @@
 """Per-state emission distributions for log-transformed activity counts.
 
-The sleep state mixes a point mass at exactly zero (probability ``alpha``)
-with a Gaussian truncated to the non-negative half line; a zero
-observation picks up both the point mass and the density value at zero.
-The wake state is a plain Gaussian.  Both are evaluated in log space via
-erfc-based normal tail functions, so extreme standardized values stay
-finite.
+The sleep state is a hurdle model: a point mass at exactly zero
+(probability ``alpha``) and, with probability ``1 - alpha``, a Gaussian
+truncated to the non-negative half line.  The wake state is a plain
+Gaussian.  Both are evaluated in log space via erfc-based normal tail
+functions, so extreme standardized values stay finite.
 
 Weighted maximum-likelihood updates for both states are provided for use
 as the M-step of EM fitting.  The wake update is closed form; the sleep
-update assigns exact zeros to the point mass and runs a bounded Newton
-iteration for the truncated-Gaussian part.
+update sets ``alpha`` to the weighted zero fraction and runs a bounded
+Newton iteration for the truncated-Gaussian part.
 """
 
 from __future__ import annotations
@@ -78,11 +77,10 @@ def _log_trunc_mass(mu: float, sigma: float) -> float:
 
 
 def sleep_log_emission(obs, p: SleepEmission):
-    """Log density of the sleep emission at ``obs`` (scalar or array).
+    """Log likelihood of the sleep emission at ``obs`` (scalar or array).
 
-    A bit-exact zero observation receives the point mass plus the
-    truncated-Gaussian density value at zero; positive observations only
-    the density.
+    A bit-exact zero scores the point mass ``log(alpha)``; a positive
+    value scores ``log(1 - alpha)`` plus the truncated-Gaussian log density.
     """
     o = np.asarray(obs, dtype=np.float64)
     if not np.all(np.isfinite(o)):
@@ -90,13 +88,13 @@ def sleep_log_emission(obs, p: SleepEmission):
     if np.any(o < 0):
         raise InputError("log-count observations must be non-negative")
     z = (o - p.mu1) / p.sigma1
-    log_cont = (
+    log_pos = (
         np.log1p(-p.alpha)
         + _log_norm_pdf(z)
         - np.log(p.sigma1)
         - _log_trunc_mass(p.mu1, p.sigma1)
     )
-    out = np.where(o == 0.0, np.logaddexp(np.log(p.alpha), log_cont), log_cont)
+    out = np.where(o == 0.0, np.log(p.alpha), log_pos)
     return float(out) if out.ndim == 0 else out
 
 
@@ -108,11 +106,6 @@ def wake_log_emission(obs, p: WakeEmission):
     z = (o - p.mu2) / p.sigma2
     out = _log_norm_pdf(z) - np.log(p.sigma2)
     return float(out) if out.ndim == 0 else out
-
-
-def sleep_objective(obs, weights, p: SleepEmission) -> float:
-    """Weighted sleep log-likelihood, the quantity fit_sleep_weighted maximizes."""
-    return float(np.dot(np.asarray(weights, float), sleep_log_emission(obs, p)))
 
 
 def _check_weights(obs, weights) -> tuple[np.ndarray, np.ndarray]:
@@ -204,23 +197,13 @@ def _coordinate_search(o, wt, mu: float, sigma: float) -> tuple[float, float]:
     return mu, sigma
 
 
-def _fit_truncnorm_weighted(o, wt, mu0: float, sigma0: float) -> tuple[float, float]:
-    """Maximize the weighted truncated-normal log-likelihood from a warm start.
+def _newton(o, wt, mu: float, sigma: float) -> tuple[float, float]:
+    """Newton ascent of the weighted truncated-normal log-likelihood.
 
-    Newton iteration on the gradient with step-halving keeps the search at
-    the stationary point nearest the current parameters; if a Newton step
-    cannot stay inside the parameter box a bounded coordinate search takes
-    over.
+    Step-halving keeps the search at the stationary point nearest the
+    start; if a Newton step cannot stay inside the parameter box a bounded
+    coordinate search takes over.
     """
-    if not np.sum(wt) > 0:
-        return mu0, sigma0
-    wmean = float(np.dot(wt, o) / np.sum(wt))
-    if not np.dot(wt, (o - wmean) ** 2) > 0:
-        # a single repeated value: the likelihood grows without bound as
-        # sigma shrinks, so pin it at the floor instead of collapsing
-        return float(np.clip(wmean, *MU1_BOUNDS)), SIGMA_FLOOR
-    mu = float(np.clip(mu0, *MU1_BOUNDS))
-    sigma = float(np.clip(sigma0, *SIGMA1_BOUNDS))
     ll = _trunc_loglik(mu, sigma, o, wt)
     for _ in range(_FIT_MAX_ITER):
         grad, hess = _trunc_grad_hess(mu, sigma, o, wt)
@@ -253,35 +236,38 @@ def _fit_truncnorm_weighted(o, wt, mu0: float, sigma0: float) -> tuple[float, fl
     return mu, sigma
 
 
+def _fit_truncnorm_weighted(o, wt, mu0: float, sigma0: float) -> tuple[float, float]:
+    """Maximize the weighted truncated-normal log-likelihood from a warm start.
+
+    The search runs inside the parameter box from the clipped start; a
+    result that scores below (mu0, sigma0) itself is discarded for it.
+    """
+    if not np.sum(wt) > 0:
+        return mu0, sigma0
+    wmean = float(np.dot(wt, o) / np.sum(wt))
+    if np.dot(wt, (o - wmean) ** 2) > 0:
+        mu, sigma = _newton(
+            o, wt, float(np.clip(mu0, *MU1_BOUNDS)), float(np.clip(sigma0, *SIGMA1_BOUNDS))
+        )
+    else:
+        # a single repeated value: the likelihood grows without bound as
+        # sigma shrinks, so pin it at the floor instead of collapsing
+        mu, sigma = float(np.clip(wmean, *MU1_BOUNDS)), SIGMA_FLOOR
+    if _trunc_loglik(mu, sigma, o, wt) < _trunc_loglik(mu0, sigma0, o, wt):
+        return mu0, sigma0
+    return mu, sigma
+
+
 def fit_sleep_weighted(obs, weights, init: SleepEmission) -> SleepEmission:
     """Weighted MLE of the zero-inflated truncated Gaussian.
 
-    The continuous component is a density, so under the model an exact
-    zero comes from the point mass with probability one; the M-step
-    responsibilities are therefore deterministic.  alpha becomes the
-    weighted zero fraction, and (mu1, sigma1) maximize the weighted
-    truncated-Gaussian log-likelihood of the positive observations via
-    warm-started Newton steps with a bounded coordinate-search fallback.
-
-    Splitting the zero weight in proportion to the density value at zero
-    instead would let the point mass and a density value compete on
-    unequal terms: on discretized counts that inner EM drifts to a
-    boundary solution (mu1 far negative, the truncated Gaussian piling
-    density just above zero) whose mixed-measure likelihood exceeds the
-    generating parameters', so the hard assignment is what keeps the
-    continuous part anchored to actual movement data.  The returned
-    parameters never score worse than ``init`` on the weighted
-    log-likelihood.
+    The likelihood splits into a point-mass part and a truncated-Gaussian
+    part.  alpha maximizes the first exactly as the weighted zero fraction;
+    (mu1, sigma1) maximize the second over the positive observations,
+    warm-started at ``init`` and never scoring below it.
     """
     o, w = _check_weights(obs, weights)
     zero = o == 0.0
-    wsum = float(np.sum(w))
-
-    alpha = float(np.clip(np.sum(w[zero]) / wsum, ALPHA_MIN, ALPHA_MAX))
-    pos_w = np.where(zero, 0.0, w)
-    mu, sigma = _fit_truncnorm_weighted(o, pos_w, init.mu1, init.sigma1)
-
-    fitted = SleepEmission(alpha=alpha, mu1=mu, sigma1=sigma)
-    if sleep_objective(o, w, fitted) < sleep_objective(o, w, init):
-        return init
-    return fitted
+    alpha = float(np.clip(np.sum(w[zero]) / np.sum(w), ALPHA_MIN, ALPHA_MAX))
+    mu, sigma = _fit_truncnorm_weighted(o, np.where(zero, 0.0, w), init.mu1, init.sigma1)
+    return SleepEmission(alpha=alpha, mu1=mu, sigma1=sigma)

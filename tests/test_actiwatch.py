@@ -229,3 +229,25 @@ class TestAsConfig:
     def test_bad_tolerance(self):
         with pytest.raises(ConfigError):
             AsConfig(end_tolerance_epochs=-1)
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "immobility_start_cpm",
+            "immobility_end_cpm",
+            "start_window_minutes",
+            "end_window_minutes",
+        ],
+    )
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    def test_threshold_or_window_not_positive_finite(self, field, value):
+        with pytest.raises(ConfigError, match="positive and finite"):
+            AsConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field", ["start_tolerance_minutes", "end_tolerance_epochs"]
+    )
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -1])
+    def test_tolerance_not_non_negative_finite(self, field, value):
+        with pytest.raises(ConfigError, match="non-negative and finite"):
+            AsConfig(**{field: value})

@@ -487,6 +487,52 @@ class TestUsageErrors:
         assert code == 3
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_simulate_t_below_one_exits_3(self, tmp_path, capsys, value):
+        code, _, err = _run(
+            capsys, "simulate", "--t", value, "--out-prefix", str(tmp_path / "rec")
+        )
+        assert code == 3
+        assert "Traceback" not in err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "flags",
+        [[flag, value]
+         for flag in ("--immobility-start-cpm", "--immobility-end-cpm",
+                      "--start-window-min", "--end-window-min")
+         for value in ("nan", "inf", "-inf", "0", "-1")]
+        + [["--end-tolerance-epochs", "-1"], ["--end-tolerance-epochs", "1.5"]],
+    )
+    def test_as_score_flag_out_of_range_exits_3(self, sim, capsys, flags):
+        series = read_epoch_csv(sim["epochs"])
+        window = sim["dir"] / "window.txt"
+        _write_window(window, series, 0, 2000, 0, 1999)
+        out = sim["dir"] / "as.csv"
+        code, _, err = _run(
+            capsys,
+            "as-score", str(sim["epochs"]), "--window", str(window), "--out", str(out),
+            *flags,
+        )
+        assert code == 3
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_as_score_and_simulate_range_ends_accepted(self, sim, capsys):
+        series = read_epoch_csv(sim["epochs"])
+        window = sim["dir"] / "window.txt"
+        _write_window(window, series, 0, 2000, 0, 1999)
+        code, _, _ = _run(
+            capsys,
+            "as-score", str(sim["epochs"]), "--window", str(window),
+            "--out", str(sim["dir"] / "as.csv"), "--end-tolerance-epochs", "0",
+            "--immobility-start-cpm", "1e-300",
+        )
+        assert code == 0
+        prefix = sim["dir"] / "one"
+        assert _run(capsys, "simulate", "--t", "1", "--out-prefix", str(prefix))[0] == 0
+        assert (sim["dir"] / "one.epochs.csv").read_text().count("\n") == 2
+
     def test_em_flag_range_ends_accepted(self, sim, capsys):
         params = sim["dir"] / "fit.txt"
         code, out, _ = _run(

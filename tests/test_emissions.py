@@ -18,7 +18,6 @@ from actisleep.emissions import (
     _fit_truncnorm_weighted,
     _trunc_grad_hess,
     _trunc_loglik,
-    sleep_objective,
 )
 from actisleep.errors import DegenerateWeightError, InputError
 
@@ -29,15 +28,19 @@ TABLE_WAKE = WakeEmission(mu2=4.803, sigma2=0.866)
 
 
 def _mp_sleep_log_emission(obs, alpha, mu1, sigma1):
-    """Independent high-precision evaluation of the sleep emission."""
+    """Independent high-precision evaluation of the sleep emission.
+
+    An exact zero belongs to the point mass alone; a positive value to the
+    truncated Gaussian, weighted by 1 - alpha.
+    """
     obs, alpha, mu1, sigma1 = map(mpmath.mpf, (obs, alpha, mu1, sigma1))
+    if obs == 0:
+        return float(mpmath.log(alpha))
     z = (obs - mu1) / sigma1
     phi = mpmath.exp(-z * z / 2) / mpmath.sqrt(2 * mpmath.pi)
     trunc_mass = 1 - mpmath.ncdf(-mu1 / sigma1)
-    density = (1 - alpha) * phi / (sigma1 * trunc_mass)
-    if obs == 0:
-        return float(mpmath.log(alpha + density))
-    return float(mpmath.log(density))
+    return float(mpmath.log((1 - alpha) * phi / (sigma1 * trunc_mass)))
+
 
 
 def _mp_wake_log_emission(obs, mu2, sigma2):
@@ -52,10 +55,10 @@ class TestSleepLogEmission:
         assert sleep_log_emission(0.0, p) == pytest.approx(0.0, abs=1e-10)
 
     def test_zero_obs_half_alpha_standard_normal(self):
-        # log(0.5 + 0.5 * phi(0) / (1 * Phi(0))) evaluated at high precision
+        # a zero scores the point mass alone: log(0.5)
         p = SleepEmission(alpha=0.5, mu1=0.0, sigma1=1.0)
         expected = _mp_sleep_log_emission(0, 0.5, 0, 1)
-        assert expected == pytest.approx(-0.10653645079702144, abs=1e-14)
+        assert expected == pytest.approx(-0.6931471805599453, abs=1e-14)
         assert sleep_log_emission(0.0, p) == pytest.approx(expected, abs=1e-12)
 
     def test_table_parameters_at_mode(self):
@@ -250,7 +253,49 @@ class TestFitSleepWeighted:
             w = rng.uniform(0.0, 1.0, size=400)
             init = SleepEmission(0.5, 1.0, 1.0)
             fitted = fit_sleep_weighted(obs, w, init)
-            assert sleep_objective(obs, w, fitted) >= sleep_objective(obs, w, init) - 1e-9
+            assert np.dot(w, sleep_log_emission(obs, fitted)) >= np.dot(
+                w, sleep_log_emission(obs, init)
+            ) - 1e-9
+
+    def test_objective_splits_into_point_mass_and_truncated_parts(self):
+        rng = np.random.Generator(np.random.PCG64(8))
+        obs = _sample_sleep(rng, TABLE_SLEEP, 300)
+        w = rng.uniform(0.0, 1.0, size=300)
+        zero = obs == 0.0
+        assert 0 < zero.sum() < obs.size
+        for p in (TABLE_SLEEP, SleepEmission(0.2, -1.0, 2.5), SleepEmission(0.9, 4.0, 0.4)):
+            expected = (
+                w[zero].sum() * np.log(p.alpha)
+                + w[~zero].sum() * np.log1p(-p.alpha)
+                + _trunc_loglik(p.mu1, p.sigma1, obs, np.where(zero, 0.0, w))
+            )
+            got = np.dot(w, sleep_log_emission(obs, p))
+            assert got == pytest.approx(expected, rel=1e-12)
+
+    def test_m_step_maximizes_the_emission_objective(self):
+        # alpha is exact and (mu1, sigma1) sit at a stationary point, so
+        # nudging any parameter lowers the weighted emission log-likelihood
+        rng = np.random.Generator(np.random.PCG64(9))
+        obs = _sample_sleep(rng, TABLE_SLEEP, 400)
+        w = rng.uniform(0.0, 1.0, size=400)
+        fitted = fit_sleep_weighted(obs, w, SleepEmission(0.5, 1.0, 1.0))
+        best = np.dot(w, sleep_log_emission(obs, fitted))
+        for field in ("alpha", "mu1", "sigma1"):
+            for h in (-1e-3, 1e-3):
+                kwargs = {
+                    "alpha": fitted.alpha, "mu1": fitted.mu1, "sigma1": fitted.sigma1
+                }
+                kwargs[field] += h
+                assert np.dot(w, sleep_log_emission(obs, SleepEmission(**kwargs))) < best
+
+    def test_never_scores_below_an_out_of_box_start(self):
+        # positives far above MU1_BOUNDS: every point inside the box
+        # scores below the start, so the fit may not return one of them
+        rng = np.random.Generator(np.random.PCG64(10))
+        obs = 14.0 + np.abs(rng.normal(0.0, 1.0, size=200))
+        w = np.ones(200)
+        mu, sigma = _fit_truncnorm_weighted(obs, w, 14.2, 1.0)
+        assert _trunc_loglik(mu, sigma, obs, w) >= _trunc_loglik(14.2, 1.0, obs, w)
 
     def test_all_zero_weights_rejected(self):
         with pytest.raises(DegenerateWeightError):

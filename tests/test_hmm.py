@@ -5,6 +5,7 @@ import pytest
 
 from actisleep import (
     HmmParams,
+    hmm,
     SleepEmission,
     State,
     WakeEmission,
@@ -442,6 +443,43 @@ class TestBaumWelch:
         assert np.isfinite([p.sleep.alpha, p.sleep.mu1, p.sleep.sigma1]).all()
         assert np.isfinite([p.wake.mu2, p.wake.sigma2]).all()
         assert np.all(np.diff(report.log_likelihood_trace) >= -1e-9)
+
+    @staticmethod
+    def _sleep_m_steps(monkeypatch, obs):
+        """Fit from the default init, recording each sleep M-step call."""
+        calls = []
+        fit = hmm.fit_sleep_weighted
+
+        def recording(o, w, init):
+            result = fit(o, w, init)
+            calls.append((o, w, init, result))
+            return result
+
+        monkeypatch.setattr(hmm, "fit_sleep_weighted", recording)
+        return baum_welch(obs, default_init(obs)), calls
+
+    def test_sleep_m_step_never_keeps_init(self, monkeypatch):
+        # E-step and M-step score the same sleep likelihood, so every
+        # M-step moves (mu1, sigma1) instead of stalling at its start
+        series, _ = simulate(SimSpec(reference_params(), 2880, seed=7))
+        _, calls = self._sleep_m_steps(monkeypatch, log_transform(series))
+        assert calls
+        for _, _, init, result in calls:
+            assert result is not init
+            assert (result.mu1, result.sigma1) != (init.mu1, init.sigma1)
+
+    def test_sleep_alpha_is_weighted_zero_fraction_at_large_counts(self, monkeypatch):
+        # counts far above e^10 put mu1's start outside its box; alpha's
+        # closed-form update must still run on every M-step
+        series, truth = simulate(SimSpec(reference_params(), 2880, seed=7))
+        obs = LogSeries(np.log1p(series.counts * 1e5), 30)
+        report, calls = self._sleep_m_steps(monkeypatch, obs)
+        assert calls and not report.swapped
+        for o, w, _, result in calls:
+            assert result.alpha == pytest.approx(np.sum(w[o == 0.0]) / np.sum(w), rel=1e-12)
+        assert report.params.sleep.alpha == calls[-1][3].alpha
+        sleep_zero_fraction = np.mean(series.counts[truth.states == State.SLEEP] == 0)
+        assert report.params.sleep.alpha == pytest.approx(sleep_zero_fraction, abs=0.02)
 
     def test_too_short_rejected(self):
         obs = LogSeries(np.ones(5), 30)
