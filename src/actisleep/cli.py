@@ -324,7 +324,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("simulate", help="write a synthetic recording with truth labels")
     p.add_argument("--params", help="parameter file (default: reference parameters)")
-    p.add_argument("--t", type=_int_in(1), default=2880, help="number of epochs")
+    p.add_argument("--t", type=_int_in(2), default=2880, help="number of epochs")
     p.add_argument("--epoch-seconds", type=int, default=30)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--start", help="ISO-8601 start timestamp")

@@ -14,13 +14,15 @@ Newton iteration for the truncated-Gaussian part.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateWeightError, InputError
 
-_LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+_SQRT2 = math.sqrt(2.0)
 
 # Clamps guarding against degenerate likelihood blow-ups.
 ALPHA_MIN = 1e-6
@@ -69,11 +71,24 @@ def _log_norm_pdf(z):
     return -0.5 * z * z - _LOG_SQRT_2PI
 
 
-def _log_trunc_mass(mu: float, sigma: float) -> float:
-    """log P(N(mu, sigma^2) > 0), the truncation normalizer."""
-    from scipy.special import log_ndtr
+def log_ndtr(x: float) -> float:
+    """log Phi(x), the standard normal log CDF, for a scalar ``x``.
 
-    return float(log_ndtr(mu / sigma))
+    Above zero the upper tail is small and goes through ``log1p``; down to
+    -20 ``erfc`` of the mirrored argument keeps full relative precision;
+    below that the Mills-ratio asymptotic series (Abramowitz & Stegun
+    26.2.12, 11 terms) is accurate to rounding.
+    """
+    if x > 0:
+        return math.log1p(-0.5 * math.erfc(x / _SQRT2))
+    if x > -20:
+        return math.log(0.5 * math.erfc(-x / _SQRT2))
+    x2 = x * x
+    term = series = 1.0
+    for k in range(1, 11):
+        term *= -(2 * k - 1) / x2
+        series += term
+    return -0.5 * x2 - math.log(-x) - _LOG_SQRT_2PI + math.log(series)
 
 
 def sleep_log_emission(obs, p: SleepEmission):
@@ -92,7 +107,7 @@ def sleep_log_emission(obs, p: SleepEmission):
         np.log1p(-p.alpha)
         + _log_norm_pdf(z)
         - np.log(p.sigma1)
-        - _log_trunc_mass(p.mu1, p.sigma1)
+        - log_ndtr(p.mu1 / p.sigma1)  # log P(N(mu1, sigma1^2) > 0), the truncation mass
     )
     out = np.where(o == 0.0, np.log(p.alpha), log_pos)
     return float(out) if out.ndim == 0 else out
@@ -132,8 +147,6 @@ def fit_wake_weighted(obs, weights) -> WakeEmission:
 
 def _trunc_loglik(mu: float, sigma: float, o, wt) -> float:
     """Weighted truncated-normal log-likelihood."""
-    from scipy.special import log_ndtr
-
     z = (o - mu) / sigma
     wsum = np.sum(wt)
     return float(
@@ -143,8 +156,6 @@ def _trunc_loglik(mu: float, sigma: float, o, wt) -> float:
 
 def _trunc_grad_hess(mu: float, sigma: float, o, wt):
     """Gradient and Hessian of the weighted truncated-normal log-likelihood."""
-    from scipy.special import log_ndtr
-
     z = (o - mu) / sigma
     s = mu / sigma
     W = float(np.sum(wt))

@@ -60,20 +60,22 @@ def _path_log_probs(obs: LogSeries, params: hmm.HmmParams) -> tuple[np.ndarray, 
     return score_paths(obs, params, paths), paths
 
 
+def _logsumexp(logp: np.ndarray) -> float:
+    """log(sum(exp(logp))), shifted by the maximum so no term overflows."""
+    m = logp.max()
+    return float(m + np.log(np.sum(np.exp(logp - m))))
+
+
 def brute_force_likelihood(obs: LogSeries, params: hmm.HmmParams) -> float:
     """log P(observations | params) by summing over all 2^T paths."""
-    from scipy.special import logsumexp
-
     logp, _ = _path_log_probs(obs, params)
-    return float(logsumexp(logp))
+    return _logsumexp(logp)
 
 
 def brute_force_posteriors(obs: LogSeries, params: hmm.HmmParams) -> np.ndarray:
     """(T, 2) state posteriors by exhaustive enumeration."""
-    from scipy.special import logsumexp
-
     logp, paths = _path_log_probs(obs, params)
-    weights = np.exp(logp - logsumexp(logp))
+    weights = np.exp(logp - _logsumexp(logp))
     gamma = np.empty((paths.shape[1], 2))
     gamma[:, 1] = weights @ paths
     gamma[:, 0] = 1.0 - gamma[:, 1]

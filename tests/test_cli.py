@@ -452,6 +452,32 @@ class TestImports:
         ).stdout
         assert out.strip() == "[]"
 
+    def test_score_and_fit_load_no_scipy(self, tmp_path):
+        # the sleep M-step's truncated-normal tail is computed with math.erfc,
+        # so fitting and decoding a real recording loads no scipy module
+        code = f"""
+import sys
+from actisleep import cli
+d = {str(tmp_path)!r}
+for argv in (
+    ["simulate", "--t", "2880", "--seed", "3", "--out-prefix", d + "/rec"],
+    ["score", d + "/rec.epochs.csv", "--out", d + "/inline.csv"],
+    ["score", d + "/rec.epochs.csv", "--params", d + "/rec.params.txt",
+     "--out", d + "/given.csv"],
+    ["fit", d + "/rec.epochs.csv", "--out-params", d + "/fit.txt"],
+):
+    assert cli.main(argv) == 0, argv
+print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))
+"""
+        src = str(Path(cli.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", code], check=True, capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        ).stdout
+        assert out.strip().splitlines()[-1] == "[]"
+        for name in ("inline.csv", "given.csv", "fit.txt"):
+            assert (tmp_path / name).exists()
+
 
 class TestUsageErrors:
     def test_unknown_subcommand_exits_3(self, capsys):
@@ -496,6 +522,15 @@ class TestUsageErrors:
         assert "Traceback" not in err
         assert not list(tmp_path.iterdir())
 
+    def test_simulate_single_epoch_exits_3(self, tmp_path, capsys):
+        # one epoch gives a CSV whose spacing no reader can infer
+        code, _, err = _run(
+            capsys, "simulate", "--t", "1", "--out-prefix", str(tmp_path / "rec")
+        )
+        assert code == 3
+        assert "Traceback" not in err
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize(
         "flags",
         [[flag, value]
@@ -529,9 +564,19 @@ class TestUsageErrors:
             "--immobility-start-cpm", "1e-300",
         )
         assert code == 0
-        prefix = sim["dir"] / "one"
-        assert _run(capsys, "simulate", "--t", "1", "--out-prefix", str(prefix))[0] == 0
-        assert (sim["dir"] / "one.epochs.csv").read_text().count("\n") == 2
+        # --t 2 is the shortest recording whose epoch spacing can be read back
+        prefix = sim["dir"] / "two"
+        assert _run(capsys, "simulate", "--t", "2", "--out-prefix", str(prefix))[0] == 0
+        assert (sim["dir"] / "two.epochs.csv").read_text().count("\n") == 3
+        two = read_epoch_csv(sim["dir"] / "two.epochs.csv")
+        _write_window(window, two, 0, 2, 0, 1)
+        code, _, err = _run(
+            capsys,
+            "as-score", str(sim["dir"] / "two.epochs.csv"), "--window", str(window),
+            "--out", str(sim["dir"] / "two_as.csv"),
+        )
+        assert code == 0, err
+        assert len(read_label_csv(sim["dir"] / "two_as.csv", 2)) == 2
 
     def test_em_flag_range_ends_accepted(self, sim, capsys):
         params = sim["dir"] / "fit.txt"

@@ -1,5 +1,7 @@
 """Emission-law tests: log-likelihood values, normalization, weighted MLE fits."""
 
+import sys
+
 import mpmath
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from actisleep.emissions import (
     _fit_truncnorm_weighted,
     _trunc_grad_hess,
     _trunc_loglik,
+    log_ndtr,
 )
 from actisleep.errors import DegenerateWeightError, InputError
 
@@ -47,6 +50,50 @@ def _mp_wake_log_emission(obs, mu2, sigma2):
     obs, mu2, sigma2 = map(mpmath.mpf, (obs, mu2, sigma2))
     z = (obs - mu2) / sigma2
     return float(-mpmath.log(sigma2) - mpmath.log(2 * mpmath.pi) / 2 - z * z / 2)
+
+
+def _mp_log_ndtr(x):
+    with mpmath.workdps(400):
+        return mpmath.log(mpmath.ncdf(mpmath.mpf(float(x))))
+
+
+class TestLogNdtr:
+    """The stdlib normal log-CDF against mpmath at 400 digits."""
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            -np.logspace(-12, 6, 400),
+            np.linspace(-40.0, 37.5, 400),
+            # each branch point and the neighbouring doubles on both sides
+            [np.nextafter(b, d) for b in (0.0, -20.0) for d in (-np.inf, 0.0, np.inf)]
+            + [0.0, -20.0],
+        ],
+        ids=["log-spaced", "linear", "branch-points"],
+    )
+    def test_relative_error(self, grid):
+        for x in grid:
+            exact = _mp_log_ndtr(x)
+            if abs(exact) < sys.float_info.min:
+                continue  # the true value underflows a double
+            rel = abs((log_ndtr(float(x)) - exact) / exact)
+            assert rel <= 1e-12, (float(x), float(rel))
+
+    @pytest.mark.parametrize("x", [38.5, 39.0, 40.0, 1e3, 1e300, np.inf])
+    def test_zero_far_in_upper_tail(self, x):
+        assert log_ndtr(x) == 0.0
+
+    @pytest.mark.parametrize("x", [38.0, 38.25])
+    def test_subnormal_upper_tail(self, x):
+        # log Phi(38) is -2.9e-316: returned as that subnormal, so it is zero
+        # to within the smallest normal double
+        assert -sys.float_info.min < log_ndtr(x) <= 0.0
+
+    def test_finite_and_monotone_into_lower_tail(self):
+        xs = -np.logspace(-12, 6, 2000)
+        vals = np.array([log_ndtr(float(x)) for x in xs])
+        assert np.all(np.isfinite(vals))
+        assert np.all(np.diff(vals) <= 0.0)
 
 
 class TestSleepLogEmission:

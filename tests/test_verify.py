@@ -1,9 +1,34 @@
 """Self-verification tests: the clean implementation passes, faults are caught."""
 
 import numpy as np
+import pytest
+from scipy.special import logsumexp
 
 from actisleep import hmm, run_verification
 from actisleep.series import StateSequence
+from actisleep.verify import _logsumexp
+
+
+class TestLogSumExp:
+    @pytest.mark.parametrize(
+        "logp",
+        [
+            [0.0],
+            [-1.0, -2.0, -3.0],
+            [-1e4, -1e4 - 1e-9, -2e4],  # far below exp's range: the shift keeps it
+            [700.0, 710.0, 720.0],  # above it
+            [-np.inf, -5.0],
+        ],
+    )
+    def test_matches_scipy(self, logp):
+        logp = np.asarray(logp)
+        assert _logsumexp(logp) == pytest.approx(float(logsumexp(logp)), rel=1e-15, abs=0)
+
+    def test_random_path_scores(self):
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            logp = rng.normal(-200.0, 30.0, size=int(rng.integers(1, 2**12)))
+            assert _logsumexp(logp) == pytest.approx(float(logsumexp(logp)), rel=1e-14)
 
 
 class TestCleanImplementation:
