@@ -25,6 +25,8 @@ from . import hmm, metrics, postprocess
 from .actiwatch import AsConfig, as_score
 from .errors import ActisleepError, FormatError
 from .series import (
+    _SUPPORTED_EPOCH_SECONDS_MSG,
+    _valid_epoch_seconds,
     log_transform,
     parse_timestamp,
     read_epoch_csv,
@@ -303,6 +305,14 @@ def _int_in(low: int, high: float = float("inf")):
     return int_in_range
 
 
+def _epoch_seconds(text: str) -> int:
+    """argparse type: an epoch length the epoch CSV supports; others exit 3."""
+    value = int(text)
+    if not _valid_epoch_seconds(value):
+        raise argparse.ArgumentTypeError(f"{value}: {_SUPPORTED_EPOCH_SECONDS_MSG}")
+    return value
+
+
 def _finite_float(low: float, *, inclusive: bool = False):
     """argparse type: a finite float above ``low`` (or equal to it if
     ``inclusive``); others exit 3 as bad flags."""
@@ -325,7 +335,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("simulate", help="write a synthetic recording with truth labels")
     p.add_argument("--params", help="parameter file (default: reference parameters)")
     p.add_argument("--t", type=_int_in(2), default=2880, help="number of epochs")
-    p.add_argument("--epoch-seconds", type=int, default=30)
+    p.add_argument("--epoch-seconds", type=_epoch_seconds, default=30)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--start", help="ISO-8601 start timestamp")
     p.add_argument("--out-prefix", required=True)

@@ -8,8 +8,12 @@ functions, so extreme standardized values stay finite.
 
 Weighted maximum-likelihood updates for both states are provided for use
 as the M-step of EM fitting.  The wake update is closed form; the sleep
-update sets ``alpha`` to the weighted zero fraction and runs a bounded
-Newton iteration for the truncated-Gaussian part.
+update sets ``alpha`` to the weighted zero fraction and maximizes the
+truncated-Gaussian part over the parameter box.  That part depends on the
+data only through the weight, weighted mean and weighted variance of the
+positive values; Newton's method on those three numbers is the fast path,
+and an exact nested golden-section search over the box takes over
+whenever a Newton step leaves the box or cannot ascend.
 """
 
 from __future__ import annotations
@@ -33,6 +37,8 @@ SIGMA1_BOUNDS = (SIGMA_FLOOR, 5.0)
 
 _FIT_TOL = 1e-8
 _FIT_MAX_ITER = 100
+_GOLDEN_TOL = 1e-10
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -145,126 +151,145 @@ def fit_wake_weighted(obs, weights) -> WakeEmission:
     return WakeEmission(mu2=mu, sigma2=float(sigma))
 
 
-def _trunc_loglik(mu: float, sigma: float, o, wt) -> float:
-    """Weighted truncated-normal log-likelihood."""
-    z = (o - mu) / sigma
-    wsum = np.sum(wt)
-    return float(
-        np.dot(wt, _log_norm_pdf(z)) - wsum * (np.log(sigma) + log_ndtr(mu / sigma))
+def _trunc_stats(o, wt) -> tuple[float, float, float]:
+    """Weight, weighted mean and weighted variance of the observations.
+
+    The weighted truncated-normal log-likelihood depends on the data only
+    through these three numbers.
+    """
+    w = float(np.sum(wt))
+    mean = float(np.dot(wt, o) / w)
+    return w, mean, float(np.dot(wt, (o - mean) ** 2) / w)
+
+
+def _trunc_loglik(mu: float, sigma: float, stats) -> float:
+    """Weighted truncated-normal log-likelihood from ``_trunc_stats``."""
+    w, mean, var = stats
+    return -w * (
+        (var + (mean - mu) ** 2) / (2.0 * sigma * sigma)
+        + _LOG_SQRT_2PI
+        + math.log(sigma)
+        + log_ndtr(mu / sigma)
     )
 
 
-def _trunc_grad_hess(mu: float, sigma: float, o, wt):
-    """Gradient and Hessian of the weighted truncated-normal log-likelihood."""
-    z = (o - mu) / sigma
+def _trunc_grad_hess(mu: float, sigma: float, stats):
+    """Gradient ``(d_mu, d_sigma)`` and Hessian ``(mu_mu, mu_sigma, sigma_sigma)``
+    of ``_trunc_loglik``."""
+    w, mean, var = stats
     s = mu / sigma
-    W = float(np.sum(wt))
-    m1 = float(np.dot(wt, z))
-    m2 = float(np.dot(wt, z * z))
+    m1 = w * (mean - mu) / sigma  # sum of weighted z
+    m2 = w * (var + (mean - mu) ** 2) / sigma**2  # sum of weighted z^2
     # hazard phi(s)/Phi(s) and its derivative, stable via the log domain
-    h = float(np.exp(_log_norm_pdf(s) - log_ndtr(s)))
+    h = math.exp(_log_norm_pdf(s) - log_ndtr(s))
     hp = -s * h - h * h
-    g_mu = m1 / sigma - W * h / sigma
-    g_sigma = -W / sigma + m2 / sigma + W * h * mu / sigma**2
-    h_mumu = -(W / sigma**2) * (1.0 + hp)
-    h_musigma = -2.0 * m1 / sigma**2 + W * mu * hp / sigma**3 + W * h / sigma**2
+    g_mu = m1 / sigma - w * h / sigma
+    g_sigma = -w / sigma + m2 / sigma + w * h * mu / sigma**2
+    h_mumu = -(w / sigma**2) * (1.0 + hp)
+    h_musigma = -2.0 * m1 / sigma**2 + w * mu * hp / sigma**3 + w * h / sigma**2
     h_sigsig = (
-        W / sigma**2
+        w / sigma**2
         - 3.0 * m2 / sigma**2
-        - W * mu**2 * hp / sigma**4
-        - 2.0 * W * mu * h / sigma**3
+        - w * mu**2 * hp / sigma**4
+        - 2.0 * w * mu * h / sigma**3
     )
-    grad = np.array([g_mu, g_sigma])
-    hess = np.array([[h_mumu, h_musigma], [h_musigma, h_sigsig]])
-    return grad, hess
+    return (g_mu, g_sigma), (h_mumu, h_musigma, h_sigsig)
 
 
 def _in_box(mu: float, sigma: float) -> bool:
     return MU1_BOUNDS[0] <= mu <= MU1_BOUNDS[1] and SIGMA1_BOUNDS[0] <= sigma <= SIGMA1_BOUNDS[1]
 
 
-def _coordinate_search(o, wt, mu: float, sigma: float) -> tuple[float, float]:
-    """Bounded per-coordinate maximization, the fallback when Newton leaves the box."""
-    from scipy.optimize import minimize_scalar
+def _golden_max(f, lo: float, hi: float) -> tuple[float, float]:
+    """``(x, f(x))`` at the maximum of a unimodal ``f`` on ``[lo, hi]``.
 
-    for _ in range(20):
-        mu_prev, sigma_prev = mu, sigma
-        res = minimize_scalar(
-            lambda m: -_trunc_loglik(m, sigma, o, wt),
-            bounds=MU1_BOUNDS,
-            method="bounded",
-        )
-        if -res.fun >= _trunc_loglik(mu, sigma, o, wt):
-            mu = float(res.x)
-        res = minimize_scalar(
-            lambda sg: -_trunc_loglik(mu, sg, o, wt),
-            bounds=SIGMA1_BOUNDS,
-            method="bounded",
-        )
-        if -res.fun >= _trunc_loglik(mu, sigma, o, wt):
-            sigma = float(res.x)
-        if max(abs(mu - mu_prev), abs(sigma - sigma_prev)) < _FIT_TOL:
-            break
-    return mu, sigma
-
-
-def _newton(o, wt, mu: float, sigma: float) -> tuple[float, float]:
-    """Newton ascent of the weighted truncated-normal log-likelihood.
-
-    Step-halving keeps the search at the stationary point nearest the
-    start; if a Newton step cannot stay inside the parameter box a bounded
-    coordinate search takes over.
+    Golden-section search down to ``_GOLDEN_TOL``; the two ends are
+    scored too, so a maximum on the boundary is found exactly.
     """
-    ll = _trunc_loglik(mu, sigma, o, wt)
+    a, b = lo, hi
+    c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > _GOLDEN_TOL:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - _INV_PHI * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INV_PHI * (b - a)
+            fd = f(d)
+    return max((c, fc), (d, fd), (lo, f(lo)), (hi, f(hi)), key=lambda p: p[1])
+
+
+def _box_search(stats) -> tuple[float, float]:
+    """Exact maximum of ``_trunc_loglik`` over the parameter box.
+
+    The log-likelihood is concave in the natural parameters
+    ``(mu / sigma^2, -1 / (2 sigma^2))``, and the box is a convex polygon
+    in those coordinates.  At fixed ``sigma`` the first is linear in
+    ``mu``, so the objective is concave, hence unimodal, in ``mu``; and
+    its maximum over ``mu`` is a concave function of the second, which is
+    monotone in ``sigma``, so that profile is unimodal in ``sigma``.  A
+    golden-section search over ``mu`` nested inside one over ``sigma``
+    therefore finds the box maximum.
+    """
+
+    def best_mu(sigma: float) -> tuple[float, float]:
+        return _golden_max(lambda mu: _trunc_loglik(mu, sigma, stats), *MU1_BOUNDS)
+
+    sigma, _ = _golden_max(lambda sg: best_mu(sg)[1], *SIGMA1_BOUNDS)
+    return best_mu(sigma)[0], sigma
+
+
+def _newton(stats, mu: float, sigma: float) -> tuple[float, float]:
+    """Newton ascent of ``_trunc_loglik`` from a start inside the box.
+
+    A stationary point inside the box is the box maximum (see
+    ``_box_search``).  A step that leaves the box, a Hessian that is not
+    negative definite, or a step that cannot ascend hands over to the
+    exact ``_box_search``.
+    """
+    ll = _trunc_loglik(mu, sigma, stats)
     for _ in range(_FIT_MAX_ITER):
-        grad, hess = _trunc_grad_hess(mu, sigma, o, wt)
-        try:
-            # require a negative-definite Hessian: an indefinite one can
-            # yield a locally-ascending saddle direction that marches to
-            # the mu boundary instead of the interior maximum
-            np.linalg.cholesky(-hess)
-            step = np.linalg.solve(hess, -grad)
-        except np.linalg.LinAlgError:
-            step = None
-        if step is None or not np.all(np.isfinite(step)) or np.dot(step, grad) <= 0:
-            return _coordinate_search(o, wt, mu, sigma)
+        (g_mu, g_sigma), (h_mumu, h_musigma, h_sigsig) = _trunc_grad_hess(mu, sigma, stats)
+        det = h_mumu * h_sigsig - h_musigma * h_musigma
+        if not (h_mumu < 0.0 and det > 0.0):
+            return _box_search(stats)
+        # the Newton step solves hess @ step = -grad
+        step_mu = (h_musigma * g_sigma - h_sigsig * g_mu) / det
+        step_sigma = (h_musigma * g_mu - h_mumu * g_sigma) / det
+        ascends = step_mu * g_mu + step_sigma * g_sigma > 0
+        if not (ascends and _in_box(mu + step_mu, sigma + step_sigma)):
+            return _box_search(stats)
         scale = 1.0
-        accepted = False
         for _ in range(40):
-            mu_try = mu + scale * step[0]
-            sigma_try = sigma + scale * step[1]
-            if _in_box(mu_try, sigma_try):
-                ll_try = _trunc_loglik(mu_try, sigma_try, o, wt)
-                if ll_try >= ll:
-                    mu, sigma, ll = mu_try, sigma_try, ll_try
-                    accepted = True
-                    break
+            mu_try, sigma_try = mu + scale * step_mu, sigma + scale * step_sigma
+            ll_try = _trunc_loglik(mu_try, sigma_try, stats)
+            if ll_try >= ll:
+                mu, sigma, ll = mu_try, sigma_try, ll_try
+                break
             scale *= 0.5
-        if not accepted:
-            return _coordinate_search(o, wt, mu, sigma)
-        if max(abs(scale * step[0]), abs(scale * step[1])) < _FIT_TOL:
-            break
-    return mu, sigma
+        else:
+            return _box_search(stats)
+        if max(abs(scale * step_mu), abs(scale * step_sigma)) < _FIT_TOL:
+            return mu, sigma
+    return _box_search(stats)
 
 
 def _fit_truncnorm_weighted(o, wt, mu0: float, sigma0: float) -> tuple[float, float]:
-    """Maximize the weighted truncated-normal log-likelihood from a warm start.
+    """Maximize the weighted truncated-normal log-likelihood over the box.
 
-    The search runs inside the parameter box from the clipped start; a
-    result that scores below (mu0, sigma0) itself is discarded for it.
+    Newton runs from the clipped warm start; a result that scores below
+    (mu0, sigma0) itself, possible only for a start outside the box, is
+    discarded for it.
     """
     if not np.sum(wt) > 0:
         return mu0, sigma0
-    wmean = float(np.dot(wt, o) / np.sum(wt))
-    if np.dot(wt, (o - wmean) ** 2) > 0:
-        mu, sigma = _newton(
-            o, wt, float(np.clip(mu0, *MU1_BOUNDS)), float(np.clip(sigma0, *SIGMA1_BOUNDS))
-        )
-    else:
-        # a single repeated value: the likelihood grows without bound as
-        # sigma shrinks, so pin it at the floor instead of collapsing
-        mu, sigma = float(np.clip(wmean, *MU1_BOUNDS)), SIGMA_FLOOR
-    if _trunc_loglik(mu, sigma, o, wt) < _trunc_loglik(mu0, sigma0, o, wt):
+    stats = _trunc_stats(o, wt)
+    mu, sigma = _newton(
+        stats, float(np.clip(mu0, *MU1_BOUNDS)), float(np.clip(sigma0, *SIGMA1_BOUNDS))
+    )
+    if _trunc_loglik(mu, sigma, stats) < _trunc_loglik(mu0, sigma0, stats):
         return mu0, sigma0
     return mu, sigma
 

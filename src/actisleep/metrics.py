@@ -15,6 +15,7 @@ comparisons of those variables.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,39 +126,68 @@ def sleep_variables(pred: StateSequence, window: StudyWindow) -> SleepVariables:
     )
 
 
-def pearson_r(x, y) -> float:
-    """Sample Pearson correlation; both sequences need positive variance."""
+def _paired_arrays(x, y) -> tuple[np.ndarray, np.ndarray]:
     xa = np.asarray(x, dtype=np.float64)
     ya = np.asarray(y, dtype=np.float64)
     if xa.shape != ya.shape or xa.ndim != 1 or xa.size < 2:
         raise InputError("need two equal-length sequences of length >= 2")
-    xc = xa - xa.mean()
-    yc = ya - ya.mean()
-    sx = np.sqrt(np.dot(xc, xc))
-    sy = np.sqrt(np.dot(yc, yc))
+    if not (np.all(np.isfinite(xa)) and np.all(np.isfinite(ya))):
+        raise InputError("values must be finite")
+    return xa, ya
+
+
+def pearson_r(x, y) -> float:
+    """Sample Pearson correlation; both sequences need positive variance."""
+    xa, ya = _paired_arrays(x, y)
+    with np.errstate(over="ignore", invalid="ignore"):
+        xc = xa - xa.mean()
+        yc = ya - ya.mean()
+        sx = np.sqrt(np.dot(xc, xc))
+        sy = np.sqrt(np.dot(yc, yc))
+        sxy = np.dot(xc, yc)
+    if not np.all(np.isfinite([sx, sy, sxy])):
+        raise InputError("deviations from the mean overflow")
     if sx == 0 or sy == 0:
         raise UndefinedStatisticError("correlation undefined for zero variance")
-    return float(np.clip(np.dot(xc, yc) / (sx * sy), -1.0, 1.0))
+    return float(np.clip(sxy / (sx * sy), -1.0, 1.0))
+
+
+def _t_two_sided_p(t: float, df: int) -> float:
+    """P(|T| >= |t|) for Student's t with a positive integer ``df``.
+
+    One minus the finite series for P(|T| < |t|) in
+    theta = atan(|t| / sqrt(df)) (Abramowitz & Stegun 26.7.3 for odd
+    ``df``, 26.7.4 for even).
+    """
+    theta = math.atan(abs(t) / math.sqrt(df))
+    cos2 = math.cos(theta) ** 2
+    if df % 2 == 0:
+        term = total = 1.0
+        for k in range(1, df // 2):
+            term *= (2 * k - 1) / (2 * k) * cos2
+            total += term
+        inside = math.sin(theta) * total
+    else:
+        term = total = math.cos(theta) if df > 1 else 0.0
+        for k in range(1, (df - 1) // 2):
+            term *= 2 * k / (2 * k + 1) * cos2
+            total += term
+        inside = 2.0 / math.pi * (theta + math.sin(theta) * total)
+    return max(1.0 - inside, 0.0)
 
 
 def paired_t(x, y) -> tuple[float, int, float]:
-    """Paired t-test: (t statistic, degrees of freedom, two-sided p).
-
-    The p-value comes from the Student-t distribution via the
-    regularized incomplete beta function.
-    """
-    from scipy.special import betainc
-
-    xa = np.asarray(x, dtype=np.float64)
-    ya = np.asarray(y, dtype=np.float64)
-    if xa.shape != ya.shape or xa.ndim != 1 or xa.size < 2:
-        raise InputError("need two equal-length sequences of length >= 2")
-    d = xa - ya
-    n = d.size
-    sd = float(np.std(d, ddof=1))
+    """Paired t-test: (t statistic, degrees of freedom, two-sided p)."""
+    xa, ya = _paired_arrays(x, y)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = xa - ya
+        mean = float(d.mean())
+        sd = float(np.std(d, ddof=1))
+    if not (math.isfinite(mean) and math.isfinite(sd)):
+        raise InputError("paired differences overflow")
     if sd == 0:
         raise UndefinedStatisticError("paired t undefined: zero-variance differences")
-    t = float(d.mean() / (sd / np.sqrt(n)))
+    n = d.size
+    t = mean / (sd / math.sqrt(n))
     df = n - 1
-    p = float(betainc(df / 2.0, 0.5, df / (df + t * t)))
-    return t, df, p
+    return t, df, _t_two_sided_p(t, df)

@@ -439,8 +439,7 @@ class TestBadInputFiles:
 
 class TestImports:
     def test_cli_import_loads_no_scipy(self):
-        # scipy is imported inside the functions that call it, so the
-        # subcommands that never reach it do not pay for loading it
+        # importing the package and its CLI loads no scipy module
         code = (
             "import sys, actisleep, actisleep.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
@@ -476,6 +475,56 @@ print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))
         ).stdout
         assert out.strip().splitlines()[-1] == "[]"
         for name in ("inline.csv", "given.csv", "fit.txt"):
+            assert (tmp_path / name).exists()
+
+    def test_pipeline_runs_with_scipy_blocked(self, tmp_path):
+        # numpy is the only runtime dependency: every subcommand and the
+        # paired t-test run in a process where importing scipy fails
+        code = f"""
+import importlib.abc
+import sys
+
+
+class RefuseScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{{name}} is refused in this process")
+        return None
+
+
+sys.meta_path.insert(0, RefuseScipy())
+from actisleep import cli, metrics
+
+d = {str(tmp_path)!r}
+for argv in (
+    ["simulate", "--t", "2880", "--seed", "3", "--start", "2020-01-01T22:00:00Z",
+     "--out-prefix", d + "/rec"],
+    ["fit", d + "/rec.epochs.csv", "--out-params", d + "/fit.txt"],
+    ["score", d + "/rec.epochs.csv", "--out", d + "/inline.csv"],
+    ["score", d + "/rec.epochs.csv", "--params", d + "/fit.txt", "--out", d + "/given.csv"],
+    ["as-score", d + "/rec.epochs.csv", "--window", d + "/window.txt", "--out", d + "/as.csv"],
+    ["compare", "--truth", d + "/rec.labels.csv", "--pred", d + "/inline.csv",
+     "--pred", d + "/as.csv", "--epochs", d + "/rec.epochs.csv",
+     "--window", d + "/window.txt", "--out", d + "/report.csv"],
+    ["verify", "--trials", "20"],
+):
+    assert cli.main(argv) == 0, argv
+t, df, p = metrics.paired_t([2.0, 4.0, 6.0], [1.0, 2.0, 3.0])
+assert df == 2 and 0.07 < p < 0.08, p
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+        # the whole simulated day: 2,880 epochs of 30 s
+        (tmp_path / "window.txt").write_text(
+            "lights_out=2020-01-01T22:00:00Z\nlights_on=2020-01-02T22:00:00Z\n"
+            "go_to_bed=2020-01-01T22:00:00Z\nget_up=2020-01-02T21:59:30Z\n"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])  # the package under test
+        out = subprocess.run(
+            [sys.executable, "-c", code], check=True, capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        ).stdout
+        assert out.strip().splitlines()[-1] == "[]"
+        for name in ("fit.txt", "inline.csv", "given.csv", "as.csv", "report.csv"):
             assert (tmp_path / name).exists()
 
 
@@ -520,6 +569,17 @@ class TestUsageErrors:
         )
         assert code == 3
         assert "Traceback" not in err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("value", ["0", "-30", "7", "45"])
+    def test_simulate_unsupported_epoch_seconds_exits_3(self, tmp_path, capsys, value):
+        # an epoch length must divide 60 or be a multiple of it
+        code, _, err = _run(
+            capsys, "simulate", "--epoch-seconds", value, "--out-prefix", str(tmp_path / "rec")
+        )
+        assert code == 3
+        assert "Traceback" not in err
+        assert "divide 60" in err
         assert not list(tmp_path.iterdir())
 
     def test_simulate_single_epoch_exits_3(self, tmp_path, capsys):

@@ -6,6 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import log_ndtr as scipy_log_ndtr
 
 from actisleep import (
     SleepEmission,
@@ -16,10 +17,13 @@ from actisleep import (
     wake_log_emission,
 )
 from actisleep.emissions import (
+    MU1_BOUNDS,
+    SIGMA1_BOUNDS,
     SIGMA_FLOOR,
     _fit_truncnorm_weighted,
     _trunc_grad_hess,
     _trunc_loglik,
+    _trunc_stats,
     log_ndtr,
 )
 from actisleep.errors import DegenerateWeightError, InputError
@@ -231,20 +235,21 @@ class TestTruncnormDerivatives:
         rng = np.random.Generator(np.random.PCG64(4))
         o = np.abs(rng.normal(2.0, 1.2, size=300))
         wt = rng.uniform(0.0, 1.0, size=300)
+        stats = _trunc_stats(o, wt)
         h = 1e-6
         for mu, sigma in [(2.0, 1.0), (0.5, 0.8), (3.5, 2.0), (-1.0, 1.5)]:
-            grad, hess = _trunc_grad_hess(mu, sigma, o, wt)
-            g_mu = (_trunc_loglik(mu + h, sigma, o, wt) - _trunc_loglik(mu - h, sigma, o, wt)) / (2 * h)
-            g_sg = (_trunc_loglik(mu, sigma + h, o, wt) - _trunc_loglik(mu, sigma - h, o, wt)) / (2 * h)
+            grad, hess = _trunc_grad_hess(mu, sigma, stats)
+            g_mu = (_trunc_loglik(mu + h, sigma, stats) - _trunc_loglik(mu - h, sigma, stats)) / (2 * h)
+            g_sg = (_trunc_loglik(mu, sigma + h, stats) - _trunc_loglik(mu, sigma - h, stats)) / (2 * h)
             assert grad[0] == pytest.approx(g_mu, rel=1e-5, abs=1e-4)
             assert grad[1] == pytest.approx(g_sg, rel=1e-5, abs=1e-4)
             h2 = 1e-4  # wider step: second differences amplify rounding noise
             h_mumu = (
-                _trunc_loglik(mu + h2, sigma, o, wt)
-                - 2 * _trunc_loglik(mu, sigma, o, wt)
-                + _trunc_loglik(mu - h2, sigma, o, wt)
+                _trunc_loglik(mu + h2, sigma, stats)
+                - 2 * _trunc_loglik(mu, sigma, stats)
+                + _trunc_loglik(mu - h2, sigma, stats)
             ) / h2**2
-            assert hess[0, 0] == pytest.approx(h_mumu, rel=1e-4, abs=1e-3)
+            assert hess[0] == pytest.approx(h_mumu, rel=1e-4, abs=1e-3)
 
     def test_clean_truncated_normal_fit(self):
         rng = np.random.Generator(np.random.PCG64(5))
@@ -314,7 +319,7 @@ class TestFitSleepWeighted:
             expected = (
                 w[zero].sum() * np.log(p.alpha)
                 + w[~zero].sum() * np.log1p(-p.alpha)
-                + _trunc_loglik(p.mu1, p.sigma1, obs, np.where(zero, 0.0, w))
+                + _trunc_loglik(p.mu1, p.sigma1, _trunc_stats(obs, np.where(zero, 0.0, w)))
             )
             got = np.dot(w, sleep_log_emission(obs, p))
             assert got == pytest.approx(expected, rel=1e-12)
@@ -342,7 +347,8 @@ class TestFitSleepWeighted:
         obs = 14.0 + np.abs(rng.normal(0.0, 1.0, size=200))
         w = np.ones(200)
         mu, sigma = _fit_truncnorm_weighted(obs, w, 14.2, 1.0)
-        assert _trunc_loglik(mu, sigma, obs, w) >= _trunc_loglik(14.2, 1.0, obs, w)
+        stats = _trunc_stats(obs, w)
+        assert _trunc_loglik(mu, sigma, stats) >= _trunc_loglik(14.2, 1.0, stats)
 
     def test_all_zero_weights_rejected(self):
         with pytest.raises(DegenerateWeightError):
@@ -351,6 +357,75 @@ class TestFitSleepWeighted:
     def test_weights_outside_unit_interval_rejected(self):
         with pytest.raises(InputError):
             fit_sleep_weighted(np.array([0.0, 1.0]), np.array([0.5, 1.5]), TABLE_SLEEP)
+
+
+def _box_objective(obs, w, mu, sigma):
+    """Weighted truncated-normal log-likelihood of the positive values,
+    broadcast over ``mu`` and ``sigma``, normalised by scipy's log_ndtr."""
+    pos = obs > 0
+    o, wt = obs[pos], w[pos]
+    wsum = wt.sum()
+    mean = wt @ o / wsum
+    ss = wt @ (o - mean) ** 2
+    return -(ss + wsum * (mean - mu) ** 2) / (2 * sigma**2) - wsum * (
+        np.log(sigma) + 0.5 * np.log(2 * np.pi) + scipy_log_ndtr(mu / sigma)
+    )
+
+
+def _weighted_positive_datasets(rng, n):
+    """Normal, exponential-like, rounded-count and high-mean positives with
+    uniform weights and a random start inside the parameter box."""
+    for i in range(n):
+        size = int(rng.integers(20, 300))
+        kind = i % 4
+        if kind == 0:
+            o = np.abs(rng.normal(rng.uniform(-2, 6), rng.uniform(0.05, 3), size))
+        elif kind == 1:
+            o = rng.exponential(rng.uniform(0.05, 3), size)
+        elif kind == 2:
+            v = np.abs(rng.normal(rng.uniform(-1, 3), rng.uniform(0.2, 2), size))
+            o = np.log1p(np.round(np.expm1(v)))
+        else:
+            o = np.abs(rng.normal(rng.uniform(7, 14), rng.uniform(0.05, 2), size))
+        o[0] = max(o[0], np.log(2.0))  # at least one positive value
+        start = SleepEmission(
+            0.5,
+            rng.uniform(*MU1_BOUNDS),
+            float(np.exp(rng.uniform(*np.log(SIGMA1_BOUNDS)))),
+        )
+        yield o, rng.uniform(0.0, 1.0, size), start
+
+
+class TestExactBoxMaximum:
+    # a 151 x 31 grid over the box; the fit may not score below any point of it
+    MU_GRID = np.linspace(*MU1_BOUNDS, 151)[:, None]
+    SIGMA_GRID = np.geomspace(*SIGMA1_BOUNDS, 31)[None, :]
+
+    def _assert_dominates_grid(self, obs, w, start):
+        fitted = fit_sleep_weighted(obs, w, start)
+        grid_max = _box_objective(obs, w, self.MU_GRID, self.SIGMA_GRID).max()
+        assert _box_objective(obs, w, fitted.mu1, fitted.sigma1) >= grid_max - 1e-6
+        return fitted
+
+    def test_random_weighted_datasets_from_random_starts(self):
+        rng = np.random.Generator(np.random.PCG64(11))
+        for obs, w, start in _weighted_positive_datasets(rng, 120):
+            self._assert_dominates_grid(obs, w, start)
+
+    def test_single_repeated_value_inside_the_box(self):
+        fitted = self._assert_dominates_grid(
+            np.full(40, 2.0), np.ones(40), SleepEmission(0.5, 1.0, 1.0)
+        )
+        assert fitted.sigma1 == SIGMA_FLOOR
+        assert fitted.mu1 == pytest.approx(2.0, abs=1e-9)
+
+    def test_single_repeated_value_above_the_box(self):
+        # mu1 pinned at the upper bound 10; then sigma1^2 = (12 - 10)^2
+        fitted = self._assert_dominates_grid(
+            np.full(40, 12.0), np.ones(40), SleepEmission(0.5, 1.0, 1.0)
+        )
+        assert fitted.mu1 == MU1_BOUNDS[1]
+        assert fitted.sigma1 == pytest.approx(2.0, abs=1e-4)
 
 
 class TestParameterValidation:

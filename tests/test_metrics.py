@@ -1,5 +1,7 @@
 """Agreement-statistics tests with independent high-precision oracles."""
 
+import warnings
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from actisleep import (
     sleep_variables,
 )
 from actisleep.errors import InputError, UndefinedStatisticError
+from actisleep.metrics import _t_two_sided_p
 from actisleep.series import StateSequence, StudyWindow
 
 mp.mp.dps = 50
@@ -40,6 +43,22 @@ def _mp_t_two_sided_p(t, df):
     df = mp.mpf(df)
     x = df / (df + t * t)
     return mp.betainc(df / 2, mp.mpf(1) / 2, 0, x, regularized=True)
+
+
+# non-finite values, and finite ones whose differences or deviations overflow
+NON_FINITE_PAIRS = [
+    ([1.0, float("nan"), 3.0], [0.0, 1.0, 1.0]),
+    ([1.0, 2.0, 3.0], [0.0, float("inf"), 1.0]),
+    ([float("-inf"), 2.0, 3.0], [0.0, 1.0, 1.0]),
+    ([1e308, -1e308, 3.0], [-1e308, 1e308, 1.0]),
+]
+
+
+def _raises_input_error_without_warnings(func, x, y):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError):
+            func(x, y)
 
 
 class TestConfusion:
@@ -166,6 +185,10 @@ class TestPearson:
         with pytest.raises(InputError):
             pearson_r([1.0], [2.0])
 
+    @pytest.mark.parametrize("x, y", NON_FINITE_PAIRS)
+    def test_non_finite_rejected(self, x, y):
+        _raises_input_error_without_warnings(pearson_r, x, y)
+
 
 class TestPairedT:
     def test_worked_example(self):
@@ -208,3 +231,21 @@ class TestPairedT:
     def test_too_short_rejected(self):
         with pytest.raises(InputError):
             paired_t([1.0], [2.0])
+
+    @pytest.mark.parametrize("x, y", NON_FINITE_PAIRS)
+    def test_non_finite_rejected(self, x, y):
+        _raises_input_error_without_warnings(paired_t, x, y)
+
+
+class TestTwoSidedP:
+    def test_series_matches_incomplete_beta_oracle(self):
+        ts = [0.0, *np.logspace(-4, 3, 11)]
+        for df in [*range(1, 201), 500, 1000, 5000]:
+            for t in ts:
+                want = float(_mp_t_two_sided_p(t, df))
+                assert _t_two_sided_p(t, df) == pytest.approx(want, abs=1e-12), (t, df)
+                assert _t_two_sided_p(-t, df) == _t_two_sided_p(t, df)
+
+    @pytest.mark.parametrize("df", [1, 2, 3, 4, 5000])
+    def test_infinite_t_gives_zero(self, df):
+        assert _t_two_sided_p(float("inf"), df) == 0.0
