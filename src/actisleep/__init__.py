@@ -38,7 +38,7 @@ from .metrics import (
     pearson_r,
     sleep_variables,
 )
-from .postprocess import RunLength, runs_of, smooth
+from .postprocess import smooth
 from .series import (
     EpochSeries,
     LogSeries,

@@ -11,9 +11,8 @@ as the M-step of EM fitting.  The wake update is closed form; the sleep
 update sets ``alpha`` to the weighted zero fraction and maximizes the
 truncated-Gaussian part over the parameter box.  That part depends on the
 data only through the weight, weighted mean and weighted variance of the
-positive values; Newton's method on those three numbers is the fast path,
-and an exact nested golden-section search over the box takes over
-whenever a Newton step leaves the box or cannot ascend.
+positive values, and its box maximum is found exactly by one
+golden-section search over the standardised truncation point mu / sigma.
 """
 
 from __future__ import annotations
@@ -35,8 +34,6 @@ SIGMA_FLOOR = 1e-3
 MU1_BOUNDS = (-5.0, 10.0)
 SIGMA1_BOUNDS = (SIGMA_FLOOR, 5.0)
 
-_FIT_TOL = 1e-8
-_FIT_MAX_ITER = 100
 _GOLDEN_TOL = 1e-10
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -173,33 +170,6 @@ def _trunc_loglik(mu: float, sigma: float, stats) -> float:
     )
 
 
-def _trunc_grad_hess(mu: float, sigma: float, stats):
-    """Gradient ``(d_mu, d_sigma)`` and Hessian ``(mu_mu, mu_sigma, sigma_sigma)``
-    of ``_trunc_loglik``."""
-    w, mean, var = stats
-    s = mu / sigma
-    m1 = w * (mean - mu) / sigma  # sum of weighted z
-    m2 = w * (var + (mean - mu) ** 2) / sigma**2  # sum of weighted z^2
-    # hazard phi(s)/Phi(s) and its derivative, stable via the log domain
-    h = math.exp(_log_norm_pdf(s) - log_ndtr(s))
-    hp = -s * h - h * h
-    g_mu = m1 / sigma - w * h / sigma
-    g_sigma = -w / sigma + m2 / sigma + w * h * mu / sigma**2
-    h_mumu = -(w / sigma**2) * (1.0 + hp)
-    h_musigma = -2.0 * m1 / sigma**2 + w * mu * hp / sigma**3 + w * h / sigma**2
-    h_sigsig = (
-        w / sigma**2
-        - 3.0 * m2 / sigma**2
-        - w * mu**2 * hp / sigma**4
-        - 2.0 * w * mu * h / sigma**3
-    )
-    return (g_mu, g_sigma), (h_mumu, h_musigma, h_sigsig)
-
-
-def _in_box(mu: float, sigma: float) -> bool:
-    return MU1_BOUNDS[0] <= mu <= MU1_BOUNDS[1] and SIGMA1_BOUNDS[0] <= sigma <= SIGMA1_BOUNDS[1]
-
-
 def _golden_max(f, lo: float, hi: float) -> tuple[float, float]:
     """``(x, f(x))`` at the maximum of a unimodal ``f`` on ``[lo, hi]``.
 
@@ -221,74 +191,65 @@ def _golden_max(f, lo: float, hi: float) -> tuple[float, float]:
     return max((c, fc), (d, fd), (lo, f(lo)), (hi, f(hi)), key=lambda p: p[1])
 
 
-def _box_search(stats) -> tuple[float, float]:
+def _box_maximum(stats) -> tuple[float, float]:
     """Exact maximum of ``_trunc_loglik`` over the parameter box.
 
-    The log-likelihood is concave in the natural parameters
-    ``(mu / sigma^2, -1 / (2 sigma^2))``, and the box is a convex polygon
-    in those coordinates.  At fixed ``sigma`` the first is linear in
-    ``mu``, so the objective is concave, hence unimodal, in ``mu``; and
-    its maximum over ``mu`` is a concave function of the second, which is
-    monotone in ``sigma``, so that profile is unimodal in ``sigma``.  A
-    golden-section search over ``mu`` nested inside one over ``sigma``
-    therefore finds the box maximum.
+    Write ``mu = s * sigma``: ``s`` is the standardised truncation point
+    of Cohen (Ann. Math. Stat. 21, 1950).  At fixed ``s`` the objective
+    is, in ``u = 1 / sigma`` and up to a function of ``s`` alone,
+    ``-w * (M2 * u^2 / 2 - mean * s * u - log u)`` with
+    ``M2 = var + mean^2``: concave in ``u`` and maximal at the positive
+    root of ``M2 * u^2 - mean * s * u - 1``.  The box bounds ``u`` by
+    the sigma bounds and, through ``mu = s / u``, by the mu bound on the
+    side of ``s``; the best ``u`` is that root clipped to those bounds.
+    An active bound is returned as the bound value itself.
+
+    That leaves a search over ``s`` alone.  The log-likelihood is concave
+    in the natural parameters ``(mu / sigma^2, -1 / (2 sigma^2))``, in
+    which the box is a convex polygon, so its superlevel sets inside the
+    box are convex.  The s-values of a convex set form an interval, so
+    the profile over ``s`` is unimodal and one golden-section search
+    finds its maximum.  The profile has a kink where the active mu bound
+    meets the upper sigma bound, at ``s = MU1_BOUNDS[i] / SIGMA1_BOUNDS[1]``;
+    both kinks are scored too, so a maximum at a corner comes back exactly.
     """
+    _, mean, var = stats
+    m2 = var + mean * mean
+    sigma_lo, sigma_hi = SIGMA1_BOUNDS
 
-    def best_mu(sigma: float) -> tuple[float, float]:
-        return _golden_max(lambda mu: _trunc_loglik(mu, sigma, stats), *MU1_BOUNDS)
+    def best_at(s: float) -> tuple[float, float]:
+        ms = mean * s
+        d = math.sqrt(ms * ms + 4.0 * m2)
+        # 1 / (the positive root), in the form that does not cancel
+        sigma = (d - ms) / 2.0 if ms < 0 else 2.0 * m2 / (d + ms)
+        if s != 0:
+            # mu = s * sigma reaches the bound on the side of s at sigma = edge / s
+            edge = MU1_BOUNDS[1] if s > 0 else MU1_BOUNDS[0]
+            if edge / s <= min(sigma, sigma_hi):
+                return edge, edge / s
+        sigma = min(max(sigma, sigma_lo), sigma_hi)
+        return s * sigma, sigma
 
-    sigma, _ = _golden_max(lambda sg: best_mu(sg)[1], *SIGMA1_BOUNDS)
-    return best_mu(sigma)[0], sigma
+    def profile(s: float) -> float:
+        return _trunc_loglik(*best_at(s), stats)
 
-
-def _newton(stats, mu: float, sigma: float) -> tuple[float, float]:
-    """Newton ascent of ``_trunc_loglik`` from a start inside the box.
-
-    A stationary point inside the box is the box maximum (see
-    ``_box_search``).  A step that leaves the box, a Hessian that is not
-    negative definite, or a step that cannot ascend hands over to the
-    exact ``_box_search``.
-    """
-    ll = _trunc_loglik(mu, sigma, stats)
-    for _ in range(_FIT_MAX_ITER):
-        (g_mu, g_sigma), (h_mumu, h_musigma, h_sigsig) = _trunc_grad_hess(mu, sigma, stats)
-        det = h_mumu * h_sigsig - h_musigma * h_musigma
-        if not (h_mumu < 0.0 and det > 0.0):
-            return _box_search(stats)
-        # the Newton step solves hess @ step = -grad
-        step_mu = (h_musigma * g_sigma - h_sigsig * g_mu) / det
-        step_sigma = (h_musigma * g_mu - h_mumu * g_sigma) / det
-        ascends = step_mu * g_mu + step_sigma * g_sigma > 0
-        if not (ascends and _in_box(mu + step_mu, sigma + step_sigma)):
-            return _box_search(stats)
-        scale = 1.0
-        for _ in range(40):
-            mu_try, sigma_try = mu + scale * step_mu, sigma + scale * step_sigma
-            ll_try = _trunc_loglik(mu_try, sigma_try, stats)
-            if ll_try >= ll:
-                mu, sigma, ll = mu_try, sigma_try, ll_try
-                break
-            scale *= 0.5
-        else:
-            return _box_search(stats)
-        if max(abs(scale * step_mu), abs(scale * step_sigma)) < _FIT_TOL:
-            return mu, sigma
-    return _box_search(stats)
+    kinks = [(s, profile(s)) for s in (MU1_BOUNDS[0] / sigma_hi, MU1_BOUNDS[1] / sigma_hi)]
+    search = _golden_max(profile, MU1_BOUNDS[0] / sigma_lo, MU1_BOUNDS[1] / sigma_lo)
+    s, _ = max(*kinks, search, key=lambda p: p[1])
+    return best_at(s)
 
 
 def _fit_truncnorm_weighted(o, wt, mu0: float, sigma0: float) -> tuple[float, float]:
     """Maximize the weighted truncated-normal log-likelihood over the box.
 
-    Newton runs from the clipped warm start; a result that scores below
-    (mu0, sigma0) itself, possible only for a start outside the box, is
-    discarded for it.
+    The box maximum comes from ``_box_maximum``, whatever the start; a
+    result that scores below (mu0, sigma0) itself, possible only for a
+    start outside the box, is discarded for it.
     """
     if not np.sum(wt) > 0:
         return mu0, sigma0
     stats = _trunc_stats(o, wt)
-    mu, sigma = _newton(
-        stats, float(np.clip(mu0, *MU1_BOUNDS)), float(np.clip(sigma0, *SIGMA1_BOUNDS))
-    )
+    mu, sigma = _box_maximum(stats)
     if _trunc_loglik(mu, sigma, stats) < _trunc_loglik(mu0, sigma0, stats):
         return mu0, sigma0
     return mu, sigma
@@ -299,8 +260,8 @@ def fit_sleep_weighted(obs, weights, init: SleepEmission) -> SleepEmission:
 
     The likelihood splits into a point-mass part and a truncated-Gaussian
     part.  alpha maximizes the first exactly as the weighted zero fraction;
-    (mu1, sigma1) maximize the second over the positive observations,
-    warm-started at ``init`` and never scoring below it.
+    (mu1, sigma1) maximize the second over the positive observations
+    inside the parameter box, never scoring below ``init``.
     """
     o, w = _check_weights(obs, weights)
     zero = o == 0.0

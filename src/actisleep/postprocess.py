@@ -15,21 +15,11 @@ from __future__ import annotations
 
 import heapq
 from array import array
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError
 from .series import StateSequence
-
-
-@dataclass(frozen=True)
-class RunLength:
-    """One maximal same-state run."""
-
-    state: int
-    start: int
-    length: int
 
 
 def _run_arrays(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -39,15 +29,6 @@ def _run_arrays(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
     starts = np.concatenate(([0], np.flatnonzero(s[1:] != s[:-1]) + 1))
     return starts, np.diff(starts, append=s.size)
-
-
-def runs_of(states: np.ndarray) -> list[RunLength]:
-    """Partition a label array into maximal same-state runs."""
-    starts, lengths = _run_arrays(states)
-    return [
-        RunLength(int(states[start]), int(start), int(length))
-        for start, length in zip(starts, lengths)
-    ]
 
 
 def smooth(states: StateSequence, min_minutes: float = 15.0) -> StateSequence:

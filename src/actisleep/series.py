@@ -19,6 +19,7 @@ File formats:
 from __future__ import annotations
 
 import csv
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
@@ -193,6 +194,7 @@ def read_epoch_csv(path) -> EpochSeries:
         if header != ["timestamp", "count"]:
             raise FormatError(f"{path}: expected header 'timestamp,count', got {header}")
         timestamps: list[datetime] = []
+        row_nos = array("q")  # the row number of each timestamp, for spacing errors
         counts: list[int] = []
         # rows are numbered 1-based over data rows (header excluded)
         for row_no, row in enumerate(reader, start=1):
@@ -200,7 +202,11 @@ def read_epoch_csv(path) -> EpochSeries:
                 continue
             if len(row) != 2:
                 raise FormatError(f"{path}: row {row_no}: expected 2 fields")
-            timestamps.append(parse_timestamp(row[0]))
+            try:
+                timestamps.append(parse_timestamp(row[0]))
+            except FormatError as exc:
+                raise FormatError(f"{path}: row {row_no}: {exc}") from None
+            row_nos.append(row_no)
             try:
                 count = int(row[1])
             except ValueError:
@@ -218,13 +224,15 @@ def read_epoch_csv(path) -> EpochSeries:
         raise EmptyInputError(f"{path}: one data row; epoch spacing cannot be inferred")
     spacing = (timestamps[1] - timestamps[0]).total_seconds()
     if spacing <= 0 or spacing != int(spacing):
-        raise FormatError(f"{path}: row 2: non-positive or fractional epoch spacing")
+        raise FormatError(
+            f"{path}: row {row_nos[1]}: non-positive or fractional epoch spacing"
+        )
     epoch_seconds = int(spacing)
     for i in range(1, len(timestamps)):
         step = (timestamps[i] - timestamps[i - 1]).total_seconds()
         if step != spacing:
             raise FormatError(
-                f"{path}: row {i + 1}: spacing {step:g} s differs from {epoch_seconds} s"
+                f"{path}: row {row_nos[i]}: spacing {step:g} s differs from {epoch_seconds} s"
             )
     return EpochSeries(timestamps[0], epoch_seconds, np.array(counts, dtype=np.int64))
 
@@ -300,7 +308,8 @@ def read_key_values(path, keys, convert) -> dict:
     """Read a ``key=value`` file that sets each of ``keys`` exactly once.
 
     ``convert`` turns each raw value into its typed form; a ValueError it
-    raises becomes a FormatError naming the line.  Unknown, repeated and
+    raises becomes a FormatError naming the line, and a FormatError it
+    raises gets the file and line as a prefix.  Unknown, repeated and
     missing keys raise FormatError too.
     """
     values = {}
@@ -319,6 +328,8 @@ def read_key_values(path, keys, convert) -> dict:
                 raise FormatError(f"{path}: line {line_no}: repeated key {key!r}")
             try:
                 values[key] = convert(raw)
+            except FormatError as exc:
+                raise FormatError(f"{path}: line {line_no}: {exc}") from None
             except ValueError:
                 raise FormatError(
                     f"{path}: line {line_no}: bad value {raw!r}"

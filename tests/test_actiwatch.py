@@ -7,7 +7,7 @@ import pytest
 
 from actisleep import AsConfig, as_score, find_sleep_end, find_sleep_start, rescore
 from actisleep.errors import ConfigError, InputError
-from actisleep.postprocess import runs_of
+from actisleep.postprocess import _run_arrays
 from actisleep.series import EpochSeries, State, StudyWindow
 
 T0 = datetime(2020, 1, 1, tzinfo=timezone.utc)
@@ -192,8 +192,9 @@ class TestAsScore:
             counts = rng.integers(0, 30, size=400)
             counts[rng.random(400) < 0.6] = 0
             result = as_score(_series(counts, 30), StudyWindow(0, 400, 0, 399))
-            runs = runs_of(result.states.states)
-            assert sum(r.state == State.SLEEP for r in runs) <= 1
+            states = result.states.states
+            starts, _ = _run_arrays(states)
+            assert np.sum(states[starts] == State.SLEEP) <= 1
 
     def test_raw_thresholds_mode(self):
         counts = np.zeros(1440, dtype=np.int64)

@@ -413,6 +413,34 @@ class TestBadInputFiles:
         assert code == 2
         assert "big.epochs.csv: row 2" in err
 
+    def test_bad_epoch_timestamp_names_file_and_row(self, tmp_path, capsys):
+        epochs = tmp_path / "bad.epochs.csv"
+        epochs.write_text(
+            "timestamp,count\n"
+            "2020-01-01T22:00:00Z,1\n"
+            "2020-01-01T22:00:30Z,2\n"
+            "not-a-time,3\n"
+        )
+        code, _, err = _run(
+            capsys, "score", str(epochs), "--out", str(tmp_path / "out.csv")
+        )
+        assert code == 2
+        assert f"{epochs}: row 3: bad timestamp 'not-a-time'" in err
+
+    def test_bad_window_timestamp_names_file_and_line(self, sim, capsys):
+        series = read_epoch_csv(sim["epochs"])
+        window = sim["dir"] / "window.txt"
+        _write_window(window, series, 0, 2000, 0, 1999)
+        lines = window.read_text().splitlines()
+        lines[1] = "lights_on=nope"
+        window.write_text("\n".join(lines) + "\n")
+        code, _, err = _run(
+            capsys, "as-score", str(sim["epochs"]), "--window", str(window),
+            "--out", str(sim["dir"] / "out.csv"),
+        )
+        assert code == 2
+        assert f"{window}: line 2: bad timestamp 'nope'" in err
+
     @pytest.mark.parametrize("target", ["epochs", "params", "window", "truth"])
     def test_non_utf8_input_exits_2(self, sim, capsys, target):
         series = read_epoch_csv(sim["epochs"])

@@ -21,7 +21,7 @@ from actisleep.emissions import (
     SIGMA1_BOUNDS,
     SIGMA_FLOOR,
     _fit_truncnorm_weighted,
-    _trunc_grad_hess,
+    _golden_max,
     _trunc_loglik,
     _trunc_stats,
     log_ndtr,
@@ -231,26 +231,6 @@ class TestFitWakeWeighted:
 
 
 class TestTruncnormDerivatives:
-    def test_gradient_and_hessian_match_finite_differences(self):
-        rng = np.random.Generator(np.random.PCG64(4))
-        o = np.abs(rng.normal(2.0, 1.2, size=300))
-        wt = rng.uniform(0.0, 1.0, size=300)
-        stats = _trunc_stats(o, wt)
-        h = 1e-6
-        for mu, sigma in [(2.0, 1.0), (0.5, 0.8), (3.5, 2.0), (-1.0, 1.5)]:
-            grad, hess = _trunc_grad_hess(mu, sigma, stats)
-            g_mu = (_trunc_loglik(mu + h, sigma, stats) - _trunc_loglik(mu - h, sigma, stats)) / (2 * h)
-            g_sg = (_trunc_loglik(mu, sigma + h, stats) - _trunc_loglik(mu, sigma - h, stats)) / (2 * h)
-            assert grad[0] == pytest.approx(g_mu, rel=1e-5, abs=1e-4)
-            assert grad[1] == pytest.approx(g_sg, rel=1e-5, abs=1e-4)
-            h2 = 1e-4  # wider step: second differences amplify rounding noise
-            h_mumu = (
-                _trunc_loglik(mu + h2, sigma, stats)
-                - 2 * _trunc_loglik(mu, sigma, stats)
-                + _trunc_loglik(mu - h2, sigma, stats)
-            ) / h2**2
-            assert hess[0] == pytest.approx(h_mumu, rel=1e-4, abs=1e-3)
-
     def test_clean_truncated_normal_fit(self):
         rng = np.random.Generator(np.random.PCG64(5))
         draws = rng.normal(2.486, 1.248, size=40000)
@@ -426,6 +406,56 @@ class TestExactBoxMaximum:
         )
         assert fitted.mu1 == MU1_BOUNDS[1]
         assert fitted.sigma1 == pytest.approx(2.0, abs=1e-4)
+
+    # (draws, mu1 bound or None, sigma1 bound or None) at the box maximum
+    BOUND_CASES = {
+        "mu1-lower": (lambda rng: rng.gamma(0.7, 0.5, 2000), MU1_BOUNDS[0], None),
+        "sigma1-upper": (lambda rng: np.abs(rng.normal(3.0, 8.0, 2000)), None, SIGMA1_BOUNDS[1]),
+        "lower-corner": (lambda rng: rng.lognormal(0.0, 1.3, 2000), MU1_BOUNDS[0], SIGMA1_BOUNDS[1]),
+        "upper-corner": (lambda rng: rng.exponential(20.0, 2000), MU1_BOUNDS[1], SIGMA1_BOUNDS[1]),
+    }
+
+    @pytest.mark.parametrize("case", list(BOUND_CASES))
+    def test_maximum_on_a_bound_or_corner_is_the_bound_value(self, case):
+        draw, mu_bound, sigma_bound = self.BOUND_CASES[case]
+        obs = draw(np.random.Generator(np.random.PCG64(12)))
+        fitted = self._assert_dominates_grid(obs, np.ones(obs.size), SleepEmission(0.5, 1.0, 1.0))
+        if mu_bound is not None:
+            assert fitted.mu1 == mu_bound
+        if sigma_bound is not None:
+            assert fitted.sigma1 == sigma_bound
+
+    def test_same_result_from_every_start(self):
+        rng = np.random.Generator(np.random.PCG64(13))
+        obs = _sample_sleep(rng, TABLE_SLEEP, 400)
+        w = rng.uniform(0.0, 1.0, size=400)
+        fits = set()
+        for mu0 in np.linspace(*MU1_BOUNDS, 6):
+            for sigma0 in np.geomspace(*SIGMA1_BOUNDS, 4):
+                fitted = fit_sleep_weighted(obs, w, SleepEmission(0.5, mu0, sigma0))
+                fits.add((fitted.mu1, fitted.sigma1))
+        assert len(fits) == 1
+
+
+def _nested_box_search(stats):
+    """Reference box maximum: golden section over mu nested inside one over
+    sigma.  At fixed sigma the objective is concave in mu, and its maximum
+    over mu is unimodal in sigma (concavity in the natural parameters)."""
+
+    def best_mu(sigma):
+        return _golden_max(lambda mu: _trunc_loglik(mu, sigma, stats), *MU1_BOUNDS)
+
+    sigma, _ = _golden_max(lambda sg: best_mu(sg)[1], *SIGMA1_BOUNDS)
+    return best_mu(sigma)[0], sigma
+
+
+def test_box_maximum_matches_nested_reference_search():
+    rng = np.random.Generator(np.random.PCG64(14))
+    for obs, w, start in _weighted_positive_datasets(rng, 60):
+        stats = _trunc_stats(obs, w)
+        mu, sigma = _fit_truncnorm_weighted(obs, w, start.mu1, start.sigma1)
+        reference = _trunc_loglik(*_nested_box_search(stats), stats)
+        assert _trunc_loglik(mu, sigma, stats) >= reference - 1e-9
 
 
 class TestParameterValidation:

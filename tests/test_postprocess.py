@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from actisleep import RunLength, runs_of, smooth
+from actisleep import smooth
 from actisleep.errors import InputError
+from actisleep.postprocess import _run_arrays
 from actisleep.series import StateSequence
 
 
@@ -16,54 +17,40 @@ def _seq(letters, epoch_seconds=30):
 
 def _reference_smooth(states, min_minutes=15.0):
     """Quadratic list-splicing smoother: rescan for the (length, start)
-    minimum short run, absorb it, merge equal neighbors, repeat."""
+    minimum short run, absorb it, merge equal neighbors, repeat.  Runs
+    are (state, start, length) tuples."""
     min_epochs = min_minutes * 60.0 / states.epoch_seconds
-    run_list = runs_of(states.states)
+    starts, lengths = _run_arrays(states.states)
+    run_list = [
+        (int(states.states[start]), int(start), int(length))
+        for start, length in zip(starts, lengths)
+    ]
     while len(run_list) > 1:
-        short = [r for r in run_list if r.length < min_epochs]
+        short = [r for r in run_list if r[2] < min_epochs]
         if not short:
             break
-        victim = min(short, key=lambda r: (r.length, r.start))
+        victim = min(short, key=lambda r: (r[2], r[1]))
         i = run_list.index(victim)
         if i == 0:
-            new_state = run_list[1].state
+            new_state = run_list[1][0]
         elif i == len(run_list) - 1:
-            new_state = run_list[i - 1].state
+            new_state = run_list[i - 1][0]
         else:
             prev_run, next_run = run_list[i - 1], run_list[i + 1]
-            new_state = (
-                prev_run.state if prev_run.length >= next_run.length else next_run.state
-            )
-        run_list[i] = RunLength(new_state, victim.start, victim.length)
+            new_state = prev_run[0] if prev_run[2] >= next_run[2] else next_run[0]
+        run_list[i] = (new_state, victim[1], victim[2])
         j = i
-        while j > 0 and run_list[j - 1].state == run_list[j].state:
-            left = run_list[j - 1]
-            run_list[j - 1 : j + 1] = [
-                RunLength(left.state, left.start, left.length + run_list[j].length)
-            ]
+        while j > 0 and run_list[j - 1][0] == run_list[j][0]:
+            state, start, length = run_list[j - 1]
+            run_list[j - 1 : j + 1] = [(state, start, length + run_list[j][2])]
             j -= 1
-        while j < len(run_list) - 1 and run_list[j + 1].state == run_list[j].state:
-            cur = run_list[j]
-            run_list[j : j + 2] = [
-                RunLength(cur.state, cur.start, cur.length + run_list[j + 1].length)
-            ]
+        while j < len(run_list) - 1 and run_list[j + 1][0] == run_list[j][0]:
+            state, start, length = run_list[j]
+            run_list[j : j + 2] = [(state, start, length + run_list[j + 1][2])]
     out = np.empty(len(states), dtype=np.int8)
-    for run in run_list:
-        out[run.start : run.start + run.length] = run.state
+    for state, start, length in run_list:
+        out[start : start + length] = state
     return out
-
-
-class TestRunsOf:
-    def test_partition(self):
-        runs = runs_of(np.array([0, 0, 1, 1, 1, 0], dtype=np.int8))
-        assert runs == [
-            RunLength(0, 0, 2),
-            RunLength(1, 2, 3),
-            RunLength(0, 5, 1),
-        ]
-
-    def test_single_run(self):
-        assert runs_of(np.zeros(4, dtype=np.int8)) == [RunLength(0, 0, 4)]
 
 
 class TestWorkedExamples:
@@ -131,9 +118,9 @@ class TestProperties:
         assert np.array_equal(smooth(out, 15).states, out.states)
         # every surviving run is long enough, unless only one run remains
         min_epochs = 15 * 60 / states.epoch_seconds
-        runs = runs_of(out.states)
-        if len(runs) > 1:
-            assert all(r.length >= min_epochs for r in runs)
+        _, run_lengths = _run_arrays(out.states)
+        if len(run_lengths) > 1:
+            assert np.all(run_lengths >= min_epochs)
 
     @settings(max_examples=1000, deadline=None)
     @given(state_sequences(), st.sampled_from([0.0, 1.0, 5.0, 7.5, 15.0, 30.0]))

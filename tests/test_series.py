@@ -113,6 +113,28 @@ class TestReadEpochCsv:
         with pytest.raises(FormatError, match="row 4"):
             read_epoch_csv(path)
 
+    def test_spacing_errors_count_blank_rows(self, tmp_path):
+        # a blank line after data row 1 is CSV row 2, so the 60 s gap is at row 5
+        path = tmp_path / "epochs.csv"
+        path.write_text(
+            "timestamp,count\n"
+            "2012-05-01T21:30:00Z,1\n"
+            "\n"
+            "2012-05-01T21:30:30Z,2\n"
+            "2012-05-01T21:31:00Z,3\n"
+            "2012-05-01T21:32:00Z,4\n"
+        )
+        with pytest.raises(FormatError, match="row 5: spacing 60 s differs from 30 s"):
+            read_epoch_csv(path)
+        path.write_text(
+            "timestamp,count\n"
+            "2012-05-01T21:30:00Z,1\n"
+            "\n"
+            "2012-05-01T21:30:00Z,2\n"
+        )
+        with pytest.raises(FormatError, match="row 3: non-positive or fractional"):
+            read_epoch_csv(path)
+
     def test_negative_count_rejected(self, tmp_path):
         path = _epoch_csv(
             tmp_path,
