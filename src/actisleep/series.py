@@ -24,6 +24,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from enum import IntEnum
+from operator import sub
 
 import numpy as np
 
@@ -157,12 +158,14 @@ class StudyWindow:
 def parse_timestamp(text: str) -> datetime:
     """Parse an ISO-8601 UTC timestamp at second resolution."""
     try:
-        ts = datetime.fromisoformat(text.strip().replace("Z", "+00:00"))
-    except ValueError as exc:
+        return _as_utc(datetime.fromisoformat(text.strip().replace("Z", "+00:00")))
+    except (ValueError, OverflowError) as exc:
         raise FormatError(f"bad timestamp {text!r}: {exc}") from None
-    if ts.tzinfo is None:
-        ts = ts.replace(tzinfo=timezone.utc)
-    return ts.astimezone(timezone.utc)
+
+
+def _as_utc(ts: datetime) -> datetime:
+    """A naive timestamp is read as UTC; an aware one is converted to UTC."""
+    return ts.replace(tzinfo=timezone.utc) if ts.tzinfo is None else ts.astimezone(timezone.utc)
 
 
 def format_timestamp(ts: datetime) -> str:
@@ -180,14 +183,117 @@ def _open_text(path):
         raise FormatError(f"{path}: not UTF-8 text: {exc.reason}") from None
 
 
+_READ_CHUNK_BYTES = 1 << 15  # bytes of rows read and checked at a time; bounds the strings held
+
+# Byte classes for the one-pass check: 0 for a byte left to the row scan
+# (whitespace, control, quote, non-ASCII), 1 for a field byte, 2 for ','
+# and 3 for '\n'.
+_BYTE_CLASS = np.zeros(256, dtype=np.uint8)
+_BYTE_CLASS[0x21:0x7F] = 1
+_BYTE_CLASS[ord('"')] = 0
+_BYTE_CLASS[ord(",")] = 2
+_BYTE_CLASS[ord("\n")] = 3
+
+
+class _Unproven(Exception):
+    """The one-pass check could not prove part of a file well formed."""
+
+
+def _checked_chunks(fh, header: bytes):
+    """Yield the text after ``header``, _READ_CHUNK_BYTES and the rest of a line at a time.
+
+    Each chunk is proven by ``_two_fields_per_row`` before it is yielded.
+    Raises _Unproven on the first chunk that is not, and when the header
+    line is not exactly ``header``.
+    """
+    if fh.readline() != header:
+        raise _Unproven
+    # One read and one readline hold no per-line objects, as readlines does.
+    while chunk := fh.read(_READ_CHUNK_BYTES) + fh.readline():
+        if not _two_fields_per_row(chunk):
+            raise _Unproven
+        yield chunk.decode("ascii")
+
+
+def _two_fields_per_row(chunk: bytes) -> bool:
+    """One numpy pass: ``chunk`` is rows of two fields that csv and str.split split alike.
+
+    Commas and newlines alternate, starting with a comma and ending the
+    chunk with a newline, and no byte is whitespace, a control character, a
+    quote or non-ASCII, so ``str.strip`` changes no field either.
+    """
+    kind = _BYTE_CLASS[np.frombuffer(chunk, dtype=np.uint8)]
+    seps = kind[kind >= 2]
+    return bool(
+        kind.all() and kind[-1] == 3 and (seps[::2] == 2).all() and (seps[1::2] == 3).all()
+    )
+
+
+def _columns(text: str) -> tuple[list[str], list[str]]:
+    """The two columns of proven rows."""
+    fields = text.replace("\n", ",").split(",")
+    return fields[0:-1:2], fields[1::2]
+
+
 def read_epoch_csv(path) -> EpochSeries:
     """Read an epoch CSV, inferring epoch_seconds from row spacing.
 
-    Raises FormatError for a malformed header, non-constant spacing
-    (naming the first offending row), or bad counts (negative or above
-    2**63 - 1); EmptyInputError if fewer than two data rows are present
-    (spacing cannot be inferred).
+    A one-pass reader parses the file a chunk of rows at a time: each
+    chunk's shape is checked in one numpy pass (``_checked_chunks``),
+    timestamps go through ``datetime.fromisoformat`` after the same
+    ``Z`` rewrite as ``parse_timestamp``, every spacing must equal the first
+    (across chunk boundaries too), and counts must fit a non-negative
+    int64.  Any file it cannot prove good in that way, from a quoted field,
+    a CR or a blank row to a bad value, is read by the per-row scan
+    ``_scan_epoch_csv`` instead, which defines what the format accepts and
+    names the first bad row in its error.
+
+    Raises FormatError for a malformed header, non-constant or unsupported
+    spacing (naming the first offending row), or bad counts (negative or
+    above 2**63 - 1); EmptyInputError if fewer than two data rows are
+    present (spacing cannot be inferred).
     """
+    series = _parse_epoch_csv(path)
+    return _scan_epoch_csv(path) if series is None else series
+
+
+def _parse_epoch_csv(path) -> EpochSeries | None:
+    """The one-pass reader: the series, or None when the row scan must read the file."""
+    counts = array("q")
+    stamps = []
+    first = step = None
+    try:
+        with open(path, "rb") as fh:
+            for text in _checked_chunks(fh, b"timestamp,count\n"):
+                # A count holding a Z is no integer before the rewrite or after it.
+                stamp_column, count_column = _columns(text.replace("Z", "+00:00"))
+                # The last timestamp carried over checks the spacing across chunks.
+                stamps = stamps[-1:] + list(map(datetime.fromisoformat, stamp_column))
+                if first is None:
+                    first = stamps[0]
+                if step is None and len(stamps) > 1:
+                    step = stamps[1] - stamps[0]
+                # A naive and an aware timestamp side by side raise TypeError.
+                if list(map(sub, stamps[1:], stamps[:-1])).count(step) != len(stamps) - 1:
+                    raise _Unproven
+                counts.extend(map(int, count_column))
+        if step is None or step <= timedelta(0) or step.microseconds:
+            raise _Unproven
+        epoch_seconds = int(step.total_seconds())
+        values = np.frombuffer(counts, dtype=np.int64)
+        if not _valid_epoch_seconds(epoch_seconds) or values.min() < 0:
+            raise _Unproven
+        # The spacing is positive, so the first and last timestamps bound the
+        # others in UTC too.
+        start = _as_utc(first)
+        _as_utc(stamps[-1])
+    except (_Unproven, ValueError, TypeError, OverflowError):
+        return None
+    return EpochSeries(start, epoch_seconds, values)
+
+
+def _scan_epoch_csv(path) -> EpochSeries:
+    """Read an epoch CSV row by row: the definition of the format and its errors."""
     with _open_text(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -228,6 +334,11 @@ def read_epoch_csv(path) -> EpochSeries:
             f"{path}: row {row_nos[1]}: non-positive or fractional epoch spacing"
         )
     epoch_seconds = int(spacing)
+    if not _valid_epoch_seconds(epoch_seconds):
+        raise FormatError(
+            f"{path}: row {row_nos[1]}: epoch spacing {epoch_seconds} s is not supported: "
+            f"{_SUPPORTED_EPOCH_SECONDS_MSG}"
+        )
     for i in range(1, len(timestamps)):
         step = (timestamps[i] - timestamps[i - 1]).total_seconds()
         if step != spacing:
@@ -256,7 +367,54 @@ def write_epoch_csv(series: EpochSeries, path) -> None:
 
 
 def read_label_csv(path, expected_len: int, epoch_seconds: int = 30) -> StateSequence:
-    """Read a label CSV covering indices 0..expected_len-1 exactly once."""
+    """Read a label CSV covering indices 0..expected_len-1 exactly once.
+
+    A one-pass reader parses the file a chunk of rows at a time: each
+    chunk's shape is checked in one numpy pass (``_checked_chunks``), every
+    index must be an integer in range and every state ``S`` or ``W``, and
+    ``expected_len`` rows that set every index hold no duplicate.  Any file
+    it cannot prove good in that way is read by the per-row scan
+    ``_scan_label_csv`` instead, which defines what the format accepts and
+    names the first bad row in its error.
+    """
+    labels = _parse_label_csv(path, expected_len, epoch_seconds)
+    return _scan_label_csv(path, expected_len, epoch_seconds) if labels is None else labels
+
+
+_UNSET = 2  # the state of an index no label row has set yet
+
+
+def _parse_label_csv(path, expected_len: int, epoch_seconds: int) -> StateSequence | None:
+    """The one-pass reader: the labels, or None when the row scan must read the file."""
+    states = np.full(expected_len, _UNSET, dtype=np.int8)
+    try:
+        with open(path, "rb") as fh:
+            chunks = _checked_chunks(fh, b"epoch_index,state\n")
+            n_rows = sum(_set_states(text, states) for text in chunks)
+    except (_Unproven, ValueError, OverflowError):
+        return None
+    # expected_len rows that set every index set none twice
+    if n_rows != expected_len or (states == _UNSET).any():
+        return None
+    return StateSequence(states, epoch_seconds)
+
+
+def _set_states(text: str, states: np.ndarray) -> int:
+    """Set the states a chunk of proven label rows gives; returns its row count."""
+    indices, tokens = _columns(text)
+    idx = np.fromiter(map(int, indices), dtype=np.int64, count=len(indices))
+    if (
+        tokens.count("S") + tokens.count("W") != len(tokens)
+        or idx.min() < 0
+        or idx.max() >= states.size
+    ):
+        raise _Unproven
+    states[idx] = np.frombuffer("".join(tokens).encode("ascii"), dtype=np.uint8) == ord("W")
+    return idx.size
+
+
+def _scan_label_csv(path, expected_len: int, epoch_seconds: int) -> StateSequence:
+    """Read a label CSV row by row: the definition of the format and its errors."""
     with _open_text(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -298,10 +456,13 @@ def read_label_csv(path, expected_len: int, epoch_seconds: int = 30) -> StateSeq
 
 
 def write_label_csv(states: StateSequence, path) -> None:
+    """Write ``epoch_index,state`` rows, _WRITE_CHUNK rows to each write."""
+    letters = states.to_letters()
     with open(path, "w", newline="") as fh:
         fh.write("epoch_index,state\n")
-        for i, letter in enumerate(states.to_letters()):
-            fh.write(f"{i},{letter}\n")
+        for lo in range(0, len(letters), _WRITE_CHUNK):
+            rows = letters[lo : lo + _WRITE_CHUNK]
+            fh.write("".join([f"{i},{letter}\n" for i, letter in enumerate(rows, lo)]))
 
 
 def read_key_values(path, keys, convert) -> dict:

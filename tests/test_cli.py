@@ -427,6 +427,20 @@ class TestBadInputFiles:
         assert code == 2
         assert f"{epochs}: row 3: bad timestamp 'not-a-time'" in err
 
+    def test_unsupported_epoch_spacing_exits_2(self, tmp_path, capsys):
+        epochs = tmp_path / "odd.epochs.csv"
+        epochs.write_text(
+            "timestamp,count\n"
+            "2020-01-01T22:00:00Z,1\n"
+            "2020-01-01T22:00:45Z,2\n"
+            "2020-01-01T22:01:30Z,3\n"
+        )
+        code, _, err = _run(
+            capsys, "score", str(epochs), "--out", str(tmp_path / "out.csv")
+        )
+        assert code == 2
+        assert f"{epochs}: row 2: epoch spacing 45 s is not supported" in err
+
     def test_bad_window_timestamp_names_file_and_line(self, sim, capsys):
         series = read_epoch_csv(sim["epochs"])
         window = sim["dir"] / "window.txt"

@@ -1,11 +1,15 @@
 """Data model and file-format tests: CSV ingest, labels, windows, log transform."""
 
 import math
+import tracemalloc
 from datetime import datetime, timedelta, timezone
+from unittest import mock
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from actisleep import (
     EpochSeries,
@@ -133,6 +137,45 @@ class TestReadEpochCsv:
             "2012-05-01T21:30:00Z,2\n"
         )
         with pytest.raises(FormatError, match="row 3: non-positive or fractional"):
+            read_epoch_csv(path)
+
+    def test_unsupported_spacing_names_row(self, tmp_path):
+        # 45 s neither divides 60 nor is a multiple of it; the blank row 2 is counted
+        path = tmp_path / "epochs.csv"
+        path.write_text(
+            "timestamp,count\n"
+            "2012-05-01T21:30:00Z,1\n"
+            "\n"
+            "2012-05-01T21:30:45Z,2\n"
+            "2012-05-01T21:31:30Z,3\n"
+        )
+        with pytest.raises(
+            FormatError,
+            match=f"^{path}: row 3: epoch spacing 45 s is not supported: "
+            "epoch_seconds must divide 60 or be a multiple of 60$",
+        ):
+            read_epoch_csv(path)
+
+    @pytest.mark.parametrize(
+        "first, second, row",
+        [
+            ("9999-12-31T23:59:00-01:00", "9999-12-31T23:59:30-01:00", 1),
+            ("9999-12-31T22:59:30-01:00", "9999-12-31T23:00:00-01:00", 2),
+        ],
+    )
+    def test_timestamp_outside_utc_range_rejected(self, tmp_path, first, second, row):
+        # valid local times whose UTC instants fall past year 9999
+        path = _epoch_csv(tmp_path, [(first, 1), (second, 2)])
+        with pytest.raises(FormatError, match=f"row {row}: bad timestamp .*out of range"):
+            read_epoch_csv(path)
+
+    def test_last_row_without_newline(self, tmp_path):
+        path = tmp_path / "epochs.csv"
+        rows = "timestamp,count\n2012-05-01T21:30:00Z,1\n2012-05-01T21:30:30Z,2\n"
+        path.write_text(rows + "2012-05-01T21:31:00Z,3")
+        assert read_epoch_csv(path).counts.tolist() == [1, 2, 3]
+        path.write_text(rows + "2012-05-01T21:31:00Z")
+        with pytest.raises(FormatError, match="row 3: expected 2 fields"):
             read_epoch_csv(path)
 
     def test_negative_count_rejected(self, tmp_path):
@@ -277,6 +320,16 @@ class TestLabelCsv:
         write_label_csv(seq, path)
         again = read_label_csv(path, 4)
         assert np.array_equal(again.states, seq.states)
+
+    def test_writer_rows_across_chunks(self, tmp_path):
+        n = 2 * series_module._WRITE_CHUNK + 3
+        states = np.arange(n) * 7919 % 3 == 0
+        path = tmp_path / "labels.csv"
+        write_label_csv(StateSequence(states.astype(np.int8), 30), path)
+        expected = "epoch_index,state\n" + "".join(
+            f"{i},{'SW'[s]}\n" for i, s in enumerate(states.tolist())
+        )
+        assert path.read_text() == expected
 
 
 class TestStateSequence:
@@ -457,3 +510,287 @@ class TestLogSeries:
     def test_non_finite_rejected(self):
         with pytest.raises(InputError):
             LogSeries(np.array([np.inf]), 30)
+
+
+# ---------------------------------------------------------------------------
+# The one-pass readers against the row scans that define the formats
+
+
+def _outcome(read, *args):
+    """A reader's result as plain values, or its exception's type and message."""
+    try:
+        result = read(*args)
+    except Exception as exc:  # the row scans define which errors escape, of any type
+        return type(exc), str(exc)
+    if result is None:
+        return None
+    if isinstance(result, EpochSeries):
+        start, counts = result.start_time, result.counts
+        return start, start.utcoffset(), result.epoch_seconds, counts.dtype, counts.tolist()
+    return result.epoch_seconds, result.states.dtype, result.states.tolist()
+
+
+def _assert_agree(fast, read, scan, *args):
+    """The public reader gives what the scan gives; the fast pass that or None."""
+    expected = _outcome(scan, *args)
+    assert _outcome(read, *args) == expected
+    got = _outcome(fast, *args)
+    assert got is None or got == expected
+    return got is not None
+
+
+@pytest.fixture(scope="module")
+def files_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("agreement")
+
+
+ONE_HOUR = timezone(timedelta(hours=1))
+# Each row draws one; the empty ones leave it as written.
+_EPOCH_MUTATIONS = (
+    "", "", "", "", "", "", "gap", "blank before", "CR", "joined", "one field",
+    "third field", "quoted", "leading space", "odd count", "bad stamp", "Z separator",
+)
+_ODD_COUNTS = (
+    "1_0", "\u0663", str(2**63), str(2**63 - 1), "-1", "+5", "007", "", "2.5", "7 ", "0x1",
+)
+_BAD_STAMPS = (
+    "yesterday", "2012-05-01Z21:30:00", "9999-12-31T23:59:59-01:00",
+    "0001-01-01T00:00:00+01:00", "2012-05-01T21:30:00.5Z", "",
+)
+
+
+@st.composite
+def epoch_files(draw):
+    """An epoch CSV's text, and whether it is one the one-pass reader must accept."""
+    n = draw(st.integers(0, 10))
+    spacing = draw(st.sampled_from([30, 60, 15, 45, 0, -30, 30.5]))
+    start = START + timedelta(seconds=draw(st.integers(-(10**9), 10**9)))
+    form = draw(st.sampled_from(["Z", "offset", "naive", "mixed"]))
+    eol = draw(st.sampled_from(["\n", "\n", "\r\n"]))
+    mutations = st.sampled_from(_EPOCH_MUTATIONS if draw(st.booleans()) else [""])
+    lines = ["timestamp,count" + eol]
+    shift = 0
+    clean = n >= 2 and spacing in (15, 30, 60) and form != "mixed" and eol == "\n"
+    for i in range(n):
+        mutation = draw(mutations)
+        clean = clean and not mutation
+        if mutation == "gap":
+            shift += draw(st.sampled_from([1, 30, -30]))
+        t = start + timedelta(seconds=i * spacing + shift)
+        row_form = draw(st.sampled_from(["Z", "offset", "naive"])) if form == "mixed" else form
+        stamp = {
+            "Z": format_timestamp(t),
+            "offset": t.astimezone(ONE_HOUR).isoformat(),
+            "naive": t.replace(tzinfo=None).isoformat(),
+        }[row_form]
+        count = str(draw(st.integers(0, 10**6)))
+        if mutation == "bad stamp":
+            stamp = draw(st.sampled_from(_BAD_STAMPS))
+        elif mutation == "Z separator":  # the right instant, but parse_timestamp rejects it
+            stamp = t.replace(tzinfo=None).isoformat(sep="Z")
+        elif mutation == "odd count":
+            count = draw(st.sampled_from(_ODD_COUNTS))
+        row = f"{stamp},{count}"
+        if mutation == "third field":
+            row += ",x"
+        elif mutation == "one field":
+            row = stamp
+        elif mutation == "quoted":
+            row = f'"{stamp}",{count}'
+        elif mutation == "leading space":
+            row = f" {stamp}, {count}"
+        elif mutation == "blank before":
+            lines.append(eol)
+        lines.append(row + {"CR": "\r", "joined": ","}.get(mutation, eol))
+    text = "".join(lines)
+    if n and draw(st.booleans()) and draw(st.booleans()):
+        text, clean = text.rstrip("\r\n"), False  # no final newline
+    return text, clean
+
+
+_LABEL_MUTATIONS = (
+    "", "", "", "", "", "", "duplicate", "repeated row", "out of range", "bad token",
+    "odd index", "blank before", "CR", "joined", "one field", "third field", "quoted",
+)
+_BAD_TOKENS = ("N", "s", "", "SW", " W", "W ", '"S"', "\u0405")
+_ODD_INDICES = ("1_0", "+1", "00", "\u0663", " 1", "x", "-0", str(2**63), "")
+
+
+@st.composite
+def label_files(draw):
+    """A label CSV's text, its expected length, and whether the one-pass reader must accept it."""
+    n = draw(st.integers(0, 10))
+    expected_len = max(n + draw(st.sampled_from([0, 0, 0, 0, 1, -1])), 0)
+    eol = draw(st.sampled_from(["\n", "\n", "\r\n"]))
+    mutations = st.sampled_from(_LABEL_MUTATIONS if draw(st.booleans()) else [""])
+    lines = ["epoch_index,state" + eol]
+    clean = n >= 1 and expected_len == n and eol == "\n"
+    for idx in draw(st.permutations(range(n))):
+        mutation = draw(mutations)
+        clean = clean and not mutation
+        index, token = str(idx), draw(st.sampled_from("SW"))
+        if mutation == "duplicate":
+            index = str(draw(st.integers(0, n - 1)))
+        elif mutation == "out of range":
+            index = draw(st.sampled_from([str(expected_len), "-1", str(n + 5)]))
+        elif mutation == "bad token":
+            token = draw(st.sampled_from(_BAD_TOKENS))
+        elif mutation == "odd index":
+            index = draw(st.sampled_from(_ODD_INDICES))
+        row = f"{index},{token}"
+        if mutation == "third field":
+            row += ",S"
+        elif mutation == "one field":
+            row = index
+        elif mutation == "quoted":
+            row = f'"{index}",{token}'
+        elif mutation in ("blank before", "repeated row"):
+            lines.append(eol if mutation == "blank before" else row + eol)
+        lines.append(row + {"CR": "\r", "joined": ","}.get(mutation, eol))
+    text = "".join(lines)
+    if n and draw(st.booleans()) and draw(st.booleans()):
+        text, clean = text.rstrip("\r\n"), False  # no final newline
+    return text, expected_len, clean
+
+
+class TestOnePassAgreesWithRowScan:
+    """On any file, the one-pass reader gives the row scan's result or hands the file to it."""
+
+    # Traps for a split-based reader, kept whatever the random draws:
+    # a date-time separator Z that datetime.fromisoformat alone accepts, two
+    # rows on one line, a fractional spacing, a one-field last row with no
+    # newline.
+    @example(("timestamp,count\n2012-05-01T21:30:00,1\n2012-05-01Z21:30:30,2\n", False), 96)
+    @example(("timestamp,count\n2012-05-01T21:30:00Z,1,2012-05-01T21:30:30Z,2\n", False), 96)
+    @example(("timestamp,count\n2012-05-01T21:30:00,1\n2012-05-01T21:30:30.5,2\n", False), 96)
+    @example(("timestamp,count\n2012-05-01T21:30:00,1\n2012-05-01T21:30:30,2\n1", False), 8)
+    @settings(max_examples=300, deadline=None)
+    @given(epoch_files(), st.integers(1, 96))
+    def test_epoch_reader(self, files_dir, file, chunk_bytes):
+        text, clean = file
+        path = files_dir / "epochs.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with mock.patch.object(series_module, "_READ_CHUNK_BYTES", chunk_bytes):
+            fast = _assert_agree(
+                series_module._parse_epoch_csv, read_epoch_csv, series_module._scan_epoch_csv, path
+            )
+        assert fast or not clean
+
+    # Traps: two rows on one line, a row written twice, a one-field last row
+    # with no newline.
+    @example(("epoch_index,state\n0,S,1,W\n", 2, False), 48)
+    @example(("epoch_index,state\n0,S\n1,W\n1,W\n", 2, False), 48)
+    @example(("epoch_index,state\n0,S\n1,W\n2", 2, False), 4)
+    @settings(max_examples=300, deadline=None)
+    @given(label_files(), st.integers(1, 48))
+    def test_label_reader(self, files_dir, file, chunk_bytes):
+        text, expected_len, clean = file
+        path = files_dir / "labels.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with mock.patch.object(series_module, "_READ_CHUNK_BYTES", chunk_bytes):
+            fast = _assert_agree(
+                series_module._parse_label_csv,
+                lambda *a: read_label_csv(*a),
+                series_module._scan_label_csv,
+                path, expected_len, 30,
+            )
+        assert fast or not clean
+
+
+def _chunk_rows(path, header: bytes) -> list[int]:
+    """The number of rows in each chunk the one-pass reader reads from ``path``."""
+    with open(path, "rb") as fh:
+        return [text.count("\n") for text in series_module._checked_chunks(fh, header)]
+
+
+class TestMultiChunkFiles:
+    """Errors past the first chunk name the row the row scan names."""
+
+    N_ROWS = 5000  # about 3.5 chunks of epoch rows
+
+    @pytest.fixture
+    def epoch_lines(self, tmp_path):
+        path = tmp_path / "clean.csv"
+        write_epoch_csv(EpochSeries(START, 30, np.arange(self.N_ROWS) * 7919 % 3000), path)
+        assert series_module._parse_epoch_csv(path) is not None
+        sizes = _chunk_rows(path, b"timestamp,count\n")
+        assert len(sizes) >= 4 and sizes[2] > 20
+        return path.read_text().splitlines(keepends=True), sizes
+
+    @staticmethod
+    def _shift_from(lines, row, seconds):
+        """Move the timestamps of data row ``row`` onward by ``seconds``."""
+        for i in range(row, len(lines)):
+            stamp, count = lines[i].split(",")
+            t = parse_timestamp(stamp) + timedelta(seconds=seconds)
+            lines[i] = f"{format_timestamp(t)},{count}"
+
+    def _assert_named(self, tmp_path, lines, message):
+        path = tmp_path / "bad.csv"
+        path.write_text("".join(lines))
+        assert series_module._parse_epoch_csv(path) is None
+        for read in (read_epoch_csv, series_module._scan_epoch_csv):
+            with pytest.raises(FormatError) as exc:
+                read(path)
+            assert str(exc.value) == f"{path}: {message}"
+
+    def test_bad_count_in_first_row_of_chunk_2(self, tmp_path, epoch_lines):
+        lines, sizes = epoch_lines
+        row = sizes[0] + 1  # lines[0] is the header, so lines[row] is data row ``row``
+        lines[row] = lines[row].split(",")[0] + ",x\n"
+        self._assert_named(tmp_path, lines, f"row {row}: count 'x' is not an integer")
+
+    def test_spacing_break_across_chunks_1_and_2(self, tmp_path, epoch_lines):
+        lines, sizes = epoch_lines
+        row = sizes[0] + 1
+        self._shift_from(lines, row, 30)
+        self._assert_named(tmp_path, lines, f"row {row}: spacing 60 s differs from 30 s")
+
+    def test_blank_row_in_chunk_3_counts_toward_spacing_error_row(self, tmp_path, epoch_lines):
+        lines, sizes = epoch_lines
+        blank = sizes[0] + sizes[1] + 10  # a data row inside chunk 3
+        self._shift_from(lines, blank + 5, 30)
+        lines.insert(blank, "\n")  # now CSV row ``blank``; the break is at CSV row blank + 6
+        self._assert_named(tmp_path, lines, f"row {blank + 6}: spacing 60 s differs from 30 s")
+
+    def test_duplicate_label_index_in_chunk_3(self, tmp_path):
+        n = 20_000
+        path = tmp_path / "labels.csv"
+        write_label_csv(StateSequence(np.arange(n, dtype=np.int8) % 2, 30), path)
+        assert series_module._parse_label_csv(path, n, 30) is not None
+        sizes = _chunk_rows(path, b"epoch_index,state\n")
+        assert len(sizes) >= 3
+        lines = path.read_text().splitlines(keepends=True)
+        row = sizes[0] + sizes[1] + 1
+        lines[row] = "0,W\n"  # index 0 was set in chunk 1
+        path.write_text("".join(lines))
+        assert series_module._parse_label_csv(path, n, 30) is None
+        with pytest.raises(FormatError, match=f"^{path}: row {row}: duplicate index 0$"):
+            read_label_csv(path, n)
+
+
+class TestReaderMemory:
+    """The readers hold a chunk of rows at a time, not the whole file."""
+
+    N_ROWS = 200_000
+
+    @staticmethod
+    def _peak_bytes(read):
+        tracemalloc.start()
+        try:
+            read()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_epoch_reader_peak(self, tmp_path):
+        path = tmp_path / "long.csv"
+        write_epoch_csv(EpochSeries(START, 30, np.arange(self.N_ROWS) * 7919 % 3000), path)
+        # parsing the whole file into rows first peaked at 16.0 MB
+        assert self._peak_bytes(lambda: read_epoch_csv(path)) <= 8e6
+
+    def test_label_reader_peak(self, tmp_path):
+        path = tmp_path / "long.csv"
+        write_label_csv(StateSequence(np.arange(self.N_ROWS, dtype=np.int8) % 2, 30), path)
+        # the row scan peaks at 1.02 MB
+        assert self._peak_bytes(lambda: read_label_csv(path, self.N_ROWS)) <= 1.0e6
