@@ -154,10 +154,8 @@ def _cmd_score(args) -> int:
     return EXIT_OK
 
 
-def _cmd_as_score(args) -> int:
-    series = read_epoch_csv(args.epoch_csv)
-    window = read_window_file(args.window, series)
-    cfg = AsConfig(
+def _as_config(args) -> AsConfig:
+    return AsConfig(
         immobility_start_cpm=args.immobility_start_cpm,
         immobility_end_cpm=args.immobility_end_cpm,
         start_window_minutes=args.start_window_min,
@@ -165,7 +163,12 @@ def _cmd_as_score(args) -> int:
         end_tolerance_epochs=args.end_tolerance_epochs,
         raw_thresholds=args.as_raw_thresholds,
     )
-    result = as_score(series, window, cfg)
+
+
+def _cmd_as_score(args) -> int:
+    series = read_epoch_csv(args.epoch_csv)
+    window = read_window_file(args.window, series)
+    result = as_score(series, window, _as_config(args))
     write_label_csv(result.states, args.out)
     diag_path = Path(str(args.out) + ".diag")
     write_key_values(
@@ -355,7 +358,8 @@ def build_parser() -> _Parser:
     p.add_argument("epoch_csv")
     p.add_argument("--params", help="parameter file; omitted = fit inline")
     p.add_argument("--out", required=True)
-    p.add_argument("--min-minutes", type=_finite_float(0, inclusive=True), default=15.0)
+    minutes = _finite_float(0, inclusive=True)
+    p.add_argument("--min-minutes", type=minutes, default=postprocess.DEFAULT_MIN_MINUTES)
     p.add_argument("--tol", type=_finite_float(0), default=hmm.DEFAULT_TOL)
     p.add_argument("--max-iter", type=_int_in(0), default=hmm.DEFAULT_MAX_ITER)
     p.add_argument("--json", action="store_true")
@@ -365,11 +369,12 @@ def build_parser() -> _Parser:
     p.add_argument("epoch_csv")
     p.add_argument("--window", required=True, help="window sidecar file")
     p.add_argument("--out", required=True)
-    p.add_argument("--immobility-start-cpm", type=_finite_float(0), default=4.0)
-    p.add_argument("--immobility-end-cpm", type=_finite_float(0), default=6.0)
-    p.add_argument("--start-window-min", type=_finite_float(0), default=10.0)
-    p.add_argument("--end-window-min", type=_finite_float(0), default=6.0)
-    p.add_argument("--end-tolerance-epochs", type=_int_in(0), default=2)
+    d, positive = AsConfig(), _finite_float(0)
+    p.add_argument("--immobility-start-cpm", type=positive, default=d.immobility_start_cpm)
+    p.add_argument("--immobility-end-cpm", type=positive, default=d.immobility_end_cpm)
+    p.add_argument("--start-window-min", type=positive, default=d.start_window_minutes)
+    p.add_argument("--end-window-min", type=positive, default=d.end_window_minutes)
+    p.add_argument("--end-tolerance-epochs", type=_int_in(0), default=d.end_tolerance_epochs)
     p.add_argument("--as-raw-thresholds", action="store_true")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_as_score)

@@ -27,7 +27,8 @@ from .errors import DegenerateWeightError, InputError
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _SQRT2 = math.sqrt(2.0)
 
-# Clamps guarding against degenerate likelihood blow-ups.
+# Clamps guarding against degenerate likelihood blow-ups.  The upper mu1
+# bound rises to the largest weighted positive value when that is higher.
 ALPHA_MIN = 1e-6
 ALPHA_MAX = 1.0 - 1e-6
 SIGMA_FLOOR = 1e-3
@@ -140,19 +141,15 @@ def _check_weights(obs, weights) -> tuple[np.ndarray, np.ndarray]:
 
 def fit_wake_weighted(obs, weights) -> WakeEmission:
     """Closed-form weighted Gaussian MLE, with the sigma floor applied."""
-    o, w = _check_weights(obs, weights)
-    wsum = np.sum(w)
-    mu = float(np.dot(w, o) / wsum)
-    var = float(np.dot(w, (o - mu) ** 2) / wsum)
-    sigma = max(np.sqrt(var), SIGMA_FLOOR)
-    return WakeEmission(mu2=mu, sigma2=float(sigma))
+    _, mu, var = _trunc_stats(*_check_weights(obs, weights))
+    return WakeEmission(mu2=mu, sigma2=float(max(np.sqrt(var), SIGMA_FLOOR)))
 
 
 def _trunc_stats(o, wt) -> tuple[float, float, float]:
     """Weight, weighted mean and weighted variance of the observations.
 
-    The weighted truncated-normal log-likelihood depends on the data only
-    through these three numbers.
+    The weighted Gaussian and truncated-normal log-likelihoods depend on
+    the data only through these three numbers.
     """
     w = float(np.sum(wt))
     mean = float(np.dot(wt, o) / w)
@@ -191,8 +188,10 @@ def _golden_max(f, lo: float, hi: float) -> tuple[float, float]:
     return max((c, fc), (d, fd), (lo, f(lo)), (hi, f(hi)), key=lambda p: p[1])
 
 
-def _box_maximum(stats) -> tuple[float, float]:
+def _box_maximum(stats, mu_hi: float) -> tuple[float, float]:
     """Exact maximum of ``_trunc_loglik`` over the parameter box.
+
+    The box is ``MU1_BOUNDS[0] <= mu <= mu_hi`` by ``SIGMA1_BOUNDS``.
 
     Write ``mu = s * sigma``: ``s`` is the standardised truncation point
     of Cohen (Ann. Math. Stat. 21, 1950).  At fixed ``s`` the objective
@@ -210,11 +209,12 @@ def _box_maximum(stats) -> tuple[float, float]:
     box are convex.  The s-values of a convex set form an interval, so
     the profile over ``s`` is unimodal and one golden-section search
     finds its maximum.  The profile has a kink where the active mu bound
-    meets the upper sigma bound, at ``s = MU1_BOUNDS[i] / SIGMA1_BOUNDS[1]``;
+    meets the upper sigma bound, at ``s = mu bound / SIGMA1_BOUNDS[1]``;
     both kinks are scored too, so a maximum at a corner comes back exactly.
     """
     _, mean, var = stats
     m2 = var + mean * mean
+    mu_lo = MU1_BOUNDS[0]
     sigma_lo, sigma_hi = SIGMA1_BOUNDS
 
     def best_at(s: float) -> tuple[float, float]:
@@ -224,7 +224,7 @@ def _box_maximum(stats) -> tuple[float, float]:
         sigma = (d - ms) / 2.0 if ms < 0 else 2.0 * m2 / (d + ms)
         if s != 0:
             # mu = s * sigma reaches the bound on the side of s at sigma = edge / s
-            edge = MU1_BOUNDS[1] if s > 0 else MU1_BOUNDS[0]
+            edge = mu_hi if s > 0 else mu_lo
             if edge / s <= min(sigma, sigma_hi):
                 return edge, edge / s
         sigma = min(max(sigma, sigma_lo), sigma_hi)
@@ -233,8 +233,8 @@ def _box_maximum(stats) -> tuple[float, float]:
     def profile(s: float) -> float:
         return _trunc_loglik(*best_at(s), stats)
 
-    kinks = [(s, profile(s)) for s in (MU1_BOUNDS[0] / sigma_hi, MU1_BOUNDS[1] / sigma_hi)]
-    search = _golden_max(profile, MU1_BOUNDS[0] / sigma_lo, MU1_BOUNDS[1] / sigma_lo)
+    kinks = [(s, profile(s)) for s in (mu_lo / sigma_hi, mu_hi / sigma_hi)]
+    search = _golden_max(profile, mu_lo / sigma_lo, mu_hi / sigma_lo)
     s, _ = max(*kinks, search, key=lambda p: p[1])
     return best_at(s)
 
@@ -242,14 +242,15 @@ def _box_maximum(stats) -> tuple[float, float]:
 def _fit_truncnorm_weighted(o, wt, mu0: float, sigma0: float) -> tuple[float, float]:
     """Maximize the weighted truncated-normal log-likelihood over the box.
 
-    The box maximum comes from ``_box_maximum``, whatever the start; a
-    result that scores below (mu0, sigma0) itself, possible only for a
-    start outside the box, is discarded for it.
+    The box maximum comes from ``_box_maximum``, whatever the start, with
+    the upper mu bound at ``max(MU1_BOUNDS[1], largest o of positive
+    weight)``; a result that scores below (mu0, sigma0) itself, possible
+    only for a start outside the box, is discarded for it.
     """
     if not np.sum(wt) > 0:
         return mu0, sigma0
     stats = _trunc_stats(o, wt)
-    mu, sigma = _box_maximum(stats)
+    mu, sigma = _box_maximum(stats, float(np.max(o, where=wt > 0, initial=MU1_BOUNDS[1])))
     if _trunc_loglik(mu, sigma, stats) < _trunc_loglik(mu0, sigma0, stats):
         return mu0, sigma0
     return mu, sigma

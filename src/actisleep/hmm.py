@@ -310,37 +310,17 @@ def viterbi(obs: LogSeries, params: HmmParams) -> StateSequence:
     return StateSequence(path, obs.epoch_seconds)
 
 
+# The parameter file's keys, in the order write_params writes them.
 _PARAM_KEYS = (
-    "a11",
-    "a12",
-    "a21",
-    "a22",
-    "pi_sleep",
-    "pi_wake",
-    "alpha",
-    "mu1",
-    "sigma1",
-    "mu2",
-    "sigma2",
+    "a11", "a12", "a21", "a22", "pi_sleep", "pi_wake", "alpha", "mu1", "sigma1", "mu2", "sigma2"
 )
 
 
 def write_params(params: HmmParams, path) -> None:
     """Serialize parameters as key=value lines with 17 significant digits."""
-    values = {
-        "a11": params.a[0, 0],
-        "a12": params.a[0, 1],
-        "a21": params.a[1, 0],
-        "a22": params.a[1, 1],
-        "pi_sleep": params.pi[0],
-        "pi_wake": params.pi[1],
-        "alpha": params.sleep.alpha,
-        "mu1": params.sleep.mu1,
-        "sigma1": params.sleep.sigma1,
-        "mu2": params.wake.mu2,
-        "sigma2": params.wake.sigma2,
-    }
-    write_key_values(path, values.items())
+    s, w = params.sleep, params.wake
+    values = (*params.a.ravel(), *params.pi, s.alpha, s.mu1, s.sigma1, w.mu2, w.sigma2)
+    write_key_values(path, zip(_PARAM_KEYS, values))
 
 
 def read_params(path) -> HmmParams:

@@ -21,6 +21,8 @@ import numpy as np
 from .errors import InputError
 from .series import StateSequence
 
+DEFAULT_MIN_MINUTES = 15.0
+
 
 def _run_arrays(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Start index and length of every maximal same-state run."""
@@ -31,7 +33,7 @@ def _run_arrays(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return starts, np.diff(starts, append=s.size)
 
 
-def smooth(states: StateSequence, min_minutes: float = 15.0) -> StateSequence:
+def smooth(states: StateSequence, min_minutes: float = DEFAULT_MIN_MINUTES) -> StateSequence:
     """Absorb same-state runs shorter than ``min_minutes``.
 
     Runs lasting at least ``min_minutes`` survive; strictly shorter runs

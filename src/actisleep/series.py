@@ -185,14 +185,9 @@ def _open_text(path):
 
 _READ_CHUNK_BYTES = 1 << 15  # bytes of rows read and checked at a time; bounds the strings held
 
-# Byte classes for the one-pass check: 0 for a byte left to the row scan
-# (whitespace, control, quote, non-ASCII), 1 for a field byte, 2 for ','
-# and 3 for '\n'.
-_BYTE_CLASS = np.zeros(256, dtype=np.uint8)
-_BYTE_CLASS[0x21:0x7F] = 1
-_BYTE_CLASS[ord('"')] = 0
-_BYTE_CLASS[ord(",")] = 2
-_BYTE_CLASS[ord("\n")] = 3
+# The bytes a proven field may hold: no whitespace, control character,
+# quote, comma or non-ASCII byte, so csv, str.split and str.strip agree on it.
+_FIELD_BYTES = bytes(b for b in range(0x21, 0x7F) if b not in b'",')
 
 
 class _Unproven(Exception):
@@ -202,31 +197,19 @@ class _Unproven(Exception):
 def _checked_chunks(fh, header: bytes):
     """Yield the text after ``header``, _READ_CHUNK_BYTES and the rest of a line at a time.
 
-    Each chunk is proven by ``_two_fields_per_row`` before it is yielded.
-    Raises _Unproven on the first chunk that is not, and when the header
-    line is not exactly ``header``.
+    A chunk is proven to be rows of two fields when it ends in a newline
+    and deleting its field bytes leaves a comma followed by a newline for
+    each row, and nothing else.  Raises _Unproven on the first chunk that
+    is not, and when the header line is not exactly ``header``.
     """
     if fh.readline() != header:
         raise _Unproven
     # One read and one readline hold no per-line objects, as readlines does.
     while chunk := fh.read(_READ_CHUNK_BYTES) + fh.readline():
-        if not _two_fields_per_row(chunk):
+        rows = chunk.count(b"\n")
+        if not chunk.endswith(b"\n") or chunk.translate(None, _FIELD_BYTES) != b",\n" * rows:
             raise _Unproven
         yield chunk.decode("ascii")
-
-
-def _two_fields_per_row(chunk: bytes) -> bool:
-    """One numpy pass: ``chunk`` is rows of two fields that csv and str.split split alike.
-
-    Commas and newlines alternate, starting with a comma and ending the
-    chunk with a newline, and no byte is whitespace, a control character, a
-    quote or non-ASCII, so ``str.strip`` changes no field either.
-    """
-    kind = _BYTE_CLASS[np.frombuffer(chunk, dtype=np.uint8)]
-    seps = kind[kind >= 2]
-    return bool(
-        kind.all() and kind[-1] == 3 and (seps[::2] == 2).all() and (seps[1::2] == 3).all()
-    )
 
 
 def _columns(text: str) -> tuple[list[str], list[str]]:
@@ -239,7 +222,7 @@ def read_epoch_csv(path) -> EpochSeries:
     """Read an epoch CSV, inferring epoch_seconds from row spacing.
 
     A one-pass reader parses the file a chunk of rows at a time: each
-    chunk's shape is checked in one numpy pass (``_checked_chunks``),
+    chunk's shape is checked with bytes methods (``_checked_chunks``),
     timestamps go through ``datetime.fromisoformat`` after the same
     ``Z`` rewrite as ``parse_timestamp``, every spacing must equal the first
     (across chunk boundaries too), and counts must fit a non-negative
@@ -292,38 +275,55 @@ def _parse_epoch_csv(path) -> EpochSeries | None:
     return EpochSeries(start, epoch_seconds, values)
 
 
-def _scan_epoch_csv(path) -> EpochSeries:
-    """Read an epoch CSV row by row: the definition of the format and its errors."""
+def _data_rows(path, header: list[str]):
+    """Yield ``(row_no, fields)`` for each non-blank data row of a CSV with ``header``.
+
+    Rows are numbered from 1 after the header, blank rows included.  A
+    wrong header, a row without exactly two fields and a row the csv
+    module cannot read (a field over its size limit) raise FormatError.
+    """
     with _open_text(path) as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["timestamp", "count"]:
-            raise FormatError(f"{path}: expected header 'timestamp,count', got {header}")
-        timestamps: list[datetime] = []
-        row_nos = array("q")  # the row number of each timestamp, for spacing errors
-        counts: list[int] = []
-        # rows are numbered 1-based over data rows (header excluded)
-        for row_no, row in enumerate(reader, start=1):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise FormatError(f"{path}: row {row_no}: expected 2 fields")
-            try:
-                timestamps.append(parse_timestamp(row[0]))
-            except FormatError as exc:
-                raise FormatError(f"{path}: row {row_no}: {exc}") from None
-            row_nos.append(row_no)
-            try:
-                count = int(row[1])
-            except ValueError:
-                raise FormatError(
-                    f"{path}: row {row_no}: count {row[1]!r} is not an integer"
-                ) from None
-            if count < 0:
-                raise FormatError(f"{path}: row {row_no}: negative count {count}")
-            if count > _MAX_COUNT:
-                raise FormatError(f"{path}: row {row_no}: count {count} above 2**63 - 1")
-            counts.append(count)
+        try:
+            got = next(reader, None)
+        except csv.Error as exc:
+            raise FormatError(f"{path}: header: {exc}") from None
+        if got != header:
+            raise FormatError(f"{path}: expected header {','.join(header)!r}, got {got}")
+        row_no = 0
+        try:
+            for row_no, row in enumerate(reader, start=1):
+                if not row:
+                    continue
+                if len(row) != 2:
+                    raise FormatError(f"{path}: row {row_no}: expected 2 fields")
+                yield row_no, row
+        except csv.Error as exc:
+            raise FormatError(f"{path}: row {row_no + 1}: {exc}") from None
+
+
+def _scan_epoch_csv(path) -> EpochSeries:
+    """Read an epoch CSV row by row: the definition of the format and its errors."""
+    timestamps: list[datetime] = []
+    row_nos = array("q")  # the row number of each timestamp, for spacing errors
+    counts: list[int] = []
+    for row_no, (stamp, count_text) in _data_rows(path, ["timestamp", "count"]):
+        try:
+            timestamps.append(parse_timestamp(stamp))
+        except FormatError as exc:
+            raise FormatError(f"{path}: row {row_no}: {exc}") from None
+        row_nos.append(row_no)
+        try:
+            count = int(count_text)
+        except ValueError:
+            raise FormatError(
+                f"{path}: row {row_no}: count {count_text!r} is not an integer"
+            ) from None
+        if count < 0:
+            raise FormatError(f"{path}: row {row_no}: negative count {count}")
+        if count > _MAX_COUNT:
+            raise FormatError(f"{path}: row {row_no}: count {count} above 2**63 - 1")
+        counts.append(count)
     if not counts:
         raise EmptyInputError(f"{path}: no data rows")
     if len(counts) == 1:
@@ -370,7 +370,7 @@ def read_label_csv(path, expected_len: int, epoch_seconds: int = 30) -> StateSeq
     """Read a label CSV covering indices 0..expected_len-1 exactly once.
 
     A one-pass reader parses the file a chunk of rows at a time: each
-    chunk's shape is checked in one numpy pass (``_checked_chunks``), every
+    chunk's shape is checked with bytes methods (``_checked_chunks``), every
     index must be an integer in range and every state ``S`` or ``W``, and
     ``expected_len`` rows that set every index hold no duplicate.  Any file
     it cannot prove good in that way is read by the per-row scan
@@ -415,39 +415,26 @@ def _set_states(text: str, states: np.ndarray) -> int:
 
 def _scan_label_csv(path, expected_len: int, epoch_seconds: int) -> StateSequence:
     """Read a label CSV row by row: the definition of the format and its errors."""
-    with _open_text(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["epoch_index", "state"]:
+    seen = bytearray(expected_len)
+    states = bytearray(expected_len)
+    n_rows = 0
+    for row_no, (index, token) in _data_rows(path, ["epoch_index", "state"]):
+        try:
+            idx = int(index)
+        except ValueError:
+            raise FormatError(f"{path}: row {row_no}: bad epoch index {index!r}") from None
+        if not 0 <= idx < expected_len:
             raise FormatError(
-                f"{path}: expected header 'epoch_index,state', got {header}"
+                f"{path}: row {row_no}: index {idx} outside 0..{expected_len - 1}"
             )
-        seen = bytearray(expected_len)
-        states = bytearray(expected_len)
-        n_rows = 0
-        for row_no, row in enumerate(reader, start=1):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise FormatError(f"{path}: row {row_no}: expected 2 fields")
-            try:
-                idx = int(row[0])
-            except ValueError:
-                raise FormatError(
-                    f"{path}: row {row_no}: bad epoch index {row[0]!r}"
-                ) from None
-            if not 0 <= idx < expected_len:
-                raise FormatError(
-                    f"{path}: row {row_no}: index {idx} outside 0..{expected_len - 1}"
-                )
-            if seen[idx]:
-                raise FormatError(f"{path}: row {row_no}: duplicate index {idx}")
-            token = row[1].strip()
-            if token not in _LETTER_STATES:
-                raise FormatError(f"{path}: row {row_no}: unknown state token {token!r}")
-            seen[idx] = 1
-            states[idx] = _LETTER_STATES[token]
-            n_rows += 1
+        if seen[idx]:
+            raise FormatError(f"{path}: row {row_no}: duplicate index {idx}")
+        token = token.strip()
+        if token not in _LETTER_STATES:
+            raise FormatError(f"{path}: row {row_no}: unknown state token {token!r}")
+        seen[idx] = 1
+        states[idx] = _LETTER_STATES[token]
+        n_rows += 1
     if n_rows != expected_len:
         raise FormatError(
             f"{path}: {n_rows} labeled epochs, expected {expected_len}"

@@ -1,6 +1,7 @@
 """End-to-end CLI tests: pipeline wiring, exit codes, determinism."""
 
 import hashlib
+import inspect
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from actisleep import cli, hmm, read_epoch_csv, read_label_csv
+from actisleep import AsConfig, cli, hmm, read_epoch_csv, read_label_csv, smooth
 from actisleep.series import format_timestamp
 
 
@@ -252,6 +253,13 @@ class TestAsScore:
         assert "sleep_start=" in diag
         assert "all_wake_fallback=" in diag
 
+    def test_flag_defaults_are_the_library_defaults(self):
+        parser = cli.build_parser()
+        args = parser.parse_args(["as-score", "rec.csv", "--window", "w.txt", "--out", "o.csv"])
+        assert cli._as_config(args) == AsConfig()
+        args = parser.parse_args(["score", "rec.csv", "--out", "o.csv"])
+        assert args.min_minutes == inspect.signature(smooth).parameters["min_minutes"].default
+
     def test_window_under_one_epoch_exits_1(self, sim, capsys):
         series = read_epoch_csv(sim["epochs"])
         window = sim["dir"] / "window.txt"
@@ -454,6 +462,32 @@ class TestBadInputFiles:
         )
         assert code == 2
         assert f"{window}: line 2: bad timestamp 'nope'" in err
+
+    @pytest.mark.parametrize("where", ["data-row", "header"])
+    @pytest.mark.parametrize("target", ["epochs", "labels"])
+    def test_over_long_csv_field_exits_2(self, sim, capsys, target, where):
+        # csv.Error from a field over the csv module's 131,072-character limit
+        series = read_epoch_csv(sim["epochs"])
+        window = sim["dir"] / "window.txt"
+        _write_window(window, series, 0, 2000, 0, 1999)
+        path = sim[target]
+        lines = path.read_text().splitlines(keepends=True)
+        row = 0 if where == "header" else 3
+        head, _, _ = lines[row].rpartition(",")
+        lines[row] = f"{head},{'1' * 200_000}\n"
+        path.write_text("".join(lines))
+        argv = {
+            "epochs": ["score", str(sim["epochs"])],
+            "labels": [
+                "compare", "--truth", str(sim["labels"]), "--pred", str(sim["labels"]),
+                "--epochs", str(sim["epochs"]), "--window", str(window),
+            ],
+        }[target]
+        code, _, err = _run(capsys, *argv, "--out", str(sim["dir"] / "out.csv"))
+        assert code == 2
+        assert "Traceback" not in err
+        named = "header" if where == "header" else "row 3"
+        assert f"{path}: {named}: field larger than field limit (131072)" in err
 
     @pytest.mark.parametrize("target", ["epochs", "params", "window", "truth"])
     def test_non_utf8_input_exits_2(self, sim, capsys, target):

@@ -400,19 +400,22 @@ class TestExactBoxMaximum:
         assert fitted.mu1 == pytest.approx(2.0, abs=1e-9)
 
     def test_single_repeated_value_above_the_box(self):
-        # mu1 pinned at the upper bound 10; then sigma1^2 = (12 - 10)^2
+        # above MU1_BOUNDS[1] the upper mu1 bound rises to the value itself,
+        # so the fit sits on it with sigma1 at the floor (an absolute bound
+        # of 10 gave mu1 = 10 and sigma1 = 12 - 10)
         fitted = self._assert_dominates_grid(
             np.full(40, 12.0), np.ones(40), SleepEmission(0.5, 1.0, 1.0)
         )
-        assert fitted.mu1 == MU1_BOUNDS[1]
-        assert fitted.sigma1 == pytest.approx(2.0, abs=1e-4)
+        assert fitted.mu1 == 12.0
+        assert fitted.sigma1 == SIGMA_FLOOR
 
     # (draws, mu1 bound or None, sigma1 bound or None) at the box maximum
     BOUND_CASES = {
         "mu1-lower": (lambda rng: rng.gamma(0.7, 0.5, 2000), MU1_BOUNDS[0], None),
         "sigma1-upper": (lambda rng: np.abs(rng.normal(3.0, 8.0, 2000)), None, SIGMA1_BOUNDS[1]),
         "lower-corner": (lambda rng: rng.lognormal(0.0, 1.3, 2000), MU1_BOUNDS[0], SIGMA1_BOUNDS[1]),
-        "upper-corner": (lambda rng: rng.exponential(20.0, 2000), MU1_BOUNDS[1], SIGMA1_BOUNDS[1]),
+        # the upper mu1 bound is reached only by weight on one value at the bound
+        "upper-corner": (lambda rng: np.full(2000, MU1_BOUNDS[1]), MU1_BOUNDS[1], SIGMA1_BOUNDS[0]),
     }
 
     @pytest.mark.parametrize("case", list(BOUND_CASES))
@@ -424,6 +427,18 @@ class TestExactBoxMaximum:
             assert fitted.mu1 == mu_bound
         if sigma_bound is not None:
             assert fitted.sigma1 == sigma_bound
+
+    def test_upper_mu1_bound_is_never_active_on_spread_data(self):
+        # d/dmu of the objective is negative for mu >= the weighted mean, and
+        # the upper bound is at least the largest value, so mu1 lands below
+        # the mean (to rounding, where the truncation mass is 1 in float64);
+        # exponential(20) draws gave mu1 = 10 under an absolute bound
+        rng = np.random.Generator(np.random.PCG64(15))
+        datasets = [(rng.exponential(20.0, 2000), np.ones(2000), SleepEmission(0.5, 1.0, 1.0))]
+        for obs, w, start in [*datasets, *_weighted_positive_datasets(rng, 40)]:
+            fitted = self._assert_dominates_grid(obs, w, start)
+            positive = obs > 0
+            assert fitted.mu1 < np.dot(w[positive], obs[positive]) / w[positive].sum() + 1e-9
 
     def test_same_result_from_every_start(self):
         rng = np.random.Generator(np.random.PCG64(13))

@@ -1,5 +1,7 @@
 """HMM engine tests: forward-backward, Viterbi, EM, and the enumeration oracles."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,12 @@ from actisleep import (
     read_params,
     viterbi,
     write_params,
+)
+from actisleep.emissions import (
+    SIGMA_FLOOR,
+    fit_sleep_weighted,
+    fit_wake_weighted,
+    sleep_log_emission,
 )
 from actisleep.errors import InputError
 from actisleep.hmm import _forward_backward
@@ -527,6 +535,45 @@ class TestBaumWelch:
         assert r1.params.wake == r2.params.wake
         assert np.array_equal(r1.params.a, r2.params.a)
         assert r1.log_likelihood_trace == r2.log_likelihood_trace
+
+    def test_mu1_leaves_a_start_above_10(self):
+        # log1p(counts x 1e5) puts the positives near 11-19; under an absolute
+        # upper mu1 bound of 10 every sleep M-step kept default_init's 14.25
+        series, _ = simulate(SimSpec(reference_params(), 2880, seed=7))
+        obs = LogSeries(np.log1p(series.counts * 1e5), 30)
+        init = default_init(obs)
+        assert init.sleep.mu1 == pytest.approx(14.25, abs=0.01)
+        w = posterior_marginals(obs, init)[:, 0]
+        fitted = fit_sleep_weighted(obs.values, w, init.sleep)
+        kept = SleepEmission(fitted.alpha, init.sleep.mu1, init.sleep.sigma1)
+        assert abs(fitted.mu1 - init.sleep.mu1) > 0.1
+        assert np.dot(w, sleep_log_emission(obs.values, fitted)) > np.dot(
+            w, sleep_log_emission(obs.values, kept)
+        )
+        report = baum_welch(obs, init)
+        assert abs(report.params.sleep.mu1 - init.sleep.mu1) > 0.1
+        assert np.all(np.diff(report.log_likelihood_trace) >= -1e-9)
+
+    @pytest.mark.parametrize("t_epochs", [2880, 20160])  # a night and a week
+    def test_wake_m_step_is_the_two_pass_weighted_moments_bitwise(self, t_epochs):
+        def two_pass(o, w):
+            wsum = np.sum(w)
+            mu = float(np.dot(w, o) / wsum)
+            var = float(np.dot(w, (o - mu) ** 2) / wsum)
+            return WakeEmission(mu2=mu, sigma2=float(max(np.sqrt(var), SIGMA_FLOOR)))
+
+        same = []
+
+        def checked(o, w):
+            fitted = fit_wake_weighted(o, w)
+            same.append(fitted == two_pass(o, w))
+            return fitted
+
+        series, _ = simulate(SimSpec(reference_params(), t_epochs, seed=3))
+        obs = log_transform(series)
+        with mock.patch.object(hmm, "fit_wake_weighted", checked):
+            baum_welch(obs, default_init(obs))
+        assert len(same) > 1 and all(same)
 
 
 class TestParamsIo:

@@ -1,5 +1,6 @@
 """Data model and file-format tests: CSV ingest, labels, windows, log transform."""
 
+import io
 import math
 import tracemalloc
 from datetime import datetime, timedelta, timezone
@@ -330,6 +331,42 @@ class TestLabelCsv:
             f"{i},{'SW'[s]}\n" for i, s in enumerate(states.tolist())
         )
         assert path.read_text() == expected
+
+
+class TestOverLongField:
+    """A field over the csv module's size limit is a format error naming its row."""
+
+    LONG = "1" * 200_000  # the csv module's default field size limit is 131,072
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("timestamp,count\n2012-05-01T21:30:00Z,1\n\n2012-05-01T21:31:00Z,{long}\n", "row 3"),
+            ("timestamp,{long}\n2012-05-01T21:30:00Z,1\n", "header"),
+        ],
+        ids=["data-row", "header"],
+    )
+    def test_epoch_csv(self, tmp_path, text, where):
+        path = tmp_path / "epochs.csv"
+        path.write_text(text.format(long=self.LONG))
+        for read in (read_epoch_csv, series_module._scan_epoch_csv):
+            with pytest.raises(FormatError, match=f"^{path}: {where}: field larger than field"):
+                read(path)
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("epoch_index,state\n0,S\n{long},W\n", "row 2"),
+            ("{long},state\n0,S\n1,W\n", "header"),
+        ],
+        ids=["data-row", "header"],
+    )
+    def test_label_csv(self, tmp_path, text, where):
+        path = tmp_path / "labels.csv"
+        path.write_text(text.format(long=self.LONG))
+        for read in (read_label_csv, series_module._scan_label_csv):
+            with pytest.raises(FormatError, match=f"^{path}: {where}: field larger than field"):
+                read(path, 2, 30)
 
 
 class TestStateSequence:
@@ -695,6 +732,28 @@ class TestOnePassAgreesWithRowScan:
                 path, expected_len, 30,
             )
         assert fast or not clean
+
+
+class TestChunkProof:
+    """The bytes check proves rows of two fields of printable ASCII, no quote or space."""
+
+    @staticmethod
+    def _chunks(rows: bytes) -> list[str]:
+        return list(series_module._checked_chunks(io.BytesIO(b"h\n" + rows), b"h\n"))
+
+    @pytest.mark.parametrize("rows", [b"0,S\n1,W\n", b",\n", b"2012-05-01T21:30:00Z,7\n"])
+    def test_proven(self, rows):
+        assert "".join(self._chunks(rows)) == rows.decode("ascii")
+
+    # A third field then a one-field row keeps one comma per newline.
+    @pytest.mark.parametrize(
+        "rows",
+        [b"0,S,1\nW\n", b"0,S\n\n", b"0,S\n1,W", b"0\n,S\n", b'"0",S\n', b"0,S\r\n",
+         b"0, S\n", b"0,\tS\n", b"0,\xc3\xa9\n", b"0,S\x00\n"],
+    )
+    def test_unproven(self, rows):
+        with pytest.raises(series_module._Unproven):
+            self._chunks(rows)
 
 
 def _chunk_rows(path, header: bytes) -> list[int]:
