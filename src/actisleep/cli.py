@@ -55,7 +55,7 @@ def _log(msg: str) -> None:
 
 
 def _emit_json(args, payload: dict) -> None:
-    if getattr(args, "json", False):
+    if args.json:
         print(json.dumps(payload, sort_keys=True))
 
 
@@ -92,15 +92,20 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    params_path = Path(args.out_params)
+    # with no --out-log the log goes to the params path with a .log suffix
+    if (Path(args.out_log).resolve() == params_path.resolve()) if args.out_log else (
+        params_path.suffix == ".log"
+    ):
+        _log(f"error: the fit log would overwrite the parameter file {params_path}")
+        return EXIT_USAGE
     series = read_epoch_csv(args.epoch_csv)
     obs = log_transform(series)
     report = hmm.baum_welch(
         obs, hmm.default_init(obs), tol=args.tol, max_iter=args.max_iter
     )
     hmm.write_params(report.params, args.out_params)
-    log_path = Path(args.out_log) if args.out_log else Path(args.out_params).with_suffix(
-        ".log"
-    )
+    log_path = Path(args.out_log) if args.out_log else params_path.with_suffix(".log")
     write_key_values(
         log_path,
         [
@@ -242,10 +247,7 @@ def _cmd_compare(args) -> int:
     ]
     pred_names: list[str] = []
     for pred_path in args.pred:
-        try:
-            pred = read_label_csv(pred_path, n, series.epoch_seconds)
-        except FormatError as exc:
-            raise FormatError(f"prediction file {pred_path}: {exc}") from exc
+        pred = read_label_csv(pred_path, n, series.epoch_seconds)
         em = metrics.epoch_metrics(metrics.confusion(pred, truth))
         sv = metrics.sleep_variables(pred, window)
         columns = _prediction_columns(em, sv)

@@ -208,9 +208,11 @@ def _box_maximum(stats, mu_hi: float) -> tuple[float, float]:
     which the box is a convex polygon, so its superlevel sets inside the
     box are convex.  The s-values of a convex set form an interval, so
     the profile over ``s`` is unimodal and one golden-section search
-    finds its maximum.  The profile has a kink where the active mu bound
-    meets the upper sigma bound, at ``s = mu bound / SIGMA1_BOUNDS[1]``;
-    both kinks are scored too, so a maximum at a corner comes back exactly.
+    finds its maximum.  The profile has a kink where a mu bound meets the
+    upper sigma bound, at ``s = mu bound / SIGMA1_BOUNDS[1]``.  The lower
+    kink is scored too, so a maximum at that corner comes back exactly.  The
+    upper corner ``(mu_hi, SIGMA1_BOUNDS[1])`` cannot win: ``mu_hi`` is at
+    least the weighted mean, above which the objective falls in ``mu``.
     """
     _, mean, var = stats
     m2 = var + mean * mean
@@ -233,9 +235,9 @@ def _box_maximum(stats, mu_hi: float) -> tuple[float, float]:
     def profile(s: float) -> float:
         return _trunc_loglik(*best_at(s), stats)
 
-    kinks = [(s, profile(s)) for s in (mu_lo / sigma_hi, mu_hi / sigma_hi)]
+    kink = mu_lo / sigma_hi
     search = _golden_max(profile, mu_lo / sigma_lo, mu_hi / sigma_lo)
-    s, _ = max(*kinks, search, key=lambda p: p[1])
+    s, _ = max((kink, profile(kink)), search, key=lambda p: p[1])
     return best_at(s)
 
 

@@ -13,7 +13,7 @@ Python floats read from and written to numpy arrays through
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .emissions import (
     wake_log_emission,
 )
 from .errors import DegenerateWeightError, InputError
-from .series import LogSeries, State, StateSequence, read_key_values, write_key_values
+from .series import LogSeries, StateSequence, read_key_values, write_key_values
 
 _STOCHASTIC_TOL = 1e-12
 DEFAULT_TOL = 1e-6
@@ -72,31 +72,25 @@ class FitReport:
     log_likelihood_trace: list[float]
     iterations: int
     converged: bool
-    swapped: bool = field(default=False)
-
-
-def _log_b(obs: LogSeries, params: HmmParams) -> np.ndarray:
-    """(2, T) matrix of log emission densities: row 0 sleep, row 1 wake.
-
-    Each row is a contiguous float64 array, so the recursions below can
-    read it through a ``memoryview`` one Python float at a time.
-    """
-    return np.stack(
-        [
-            sleep_log_emission(obs.values, params.sleep),
-            wake_log_emission(obs.values, params.wake),
-        ]
-    )
+    swapped: bool
 
 
 def log_terms(obs: LogSeries, params: HmmParams):
     """(log b, log a, log pi): the terms a log-space path score sums.
 
-    ``viterbi`` and the enumeration oracles in ``verify`` both take their
-    terms from here, so a decoded path and its enumerated score add the
-    same numbers.  Zero probabilities map to -inf.
+    log b is the (2, T) matrix of log emission densities, row 0 sleep and
+    row 1 wake; each row is a contiguous float64 array, so the recursions
+    can read it through a ``memoryview`` one Python float at a time.  The
+    E-step, ``viterbi`` and the enumeration oracles in ``verify`` all take
+    their terms from here, so a decoded path and its enumerated score add
+    the same numbers.  Zero probabilities map to -inf.
     """
-    logb = _log_b(obs, params)
+    logb = np.stack(
+        [
+            sleep_log_emission(obs.values, params.sleep),
+            wake_log_emission(obs.values, params.wake),
+        ]
+    )
     with np.errstate(divide="ignore"):
         return logb, np.log(params.a), np.log(params.pi)
 
@@ -110,7 +104,7 @@ def _forward_backward(obs: LogSeries, params: HmmParams):
     The two sequential recursions run over Python floats; xi_sum is one
     vectorized step and no per-epoch (T-1, 2, 2) array is built.
     """
-    logb = _log_b(obs, params)
+    logb, _, _ = log_terms(obs, params)
     T = logb.shape[1]
     shift = logb.max(axis=0)
     b = np.exp(logb - shift)
@@ -231,18 +225,14 @@ def baum_welch(
 
     params = init
     trace: list[float] = []
-    converged = False
-    iterations = 0
-    for _ in range(max_iter + 1):
+    # pass k scores the parameters after k M-steps, so k counts them
+    for iterations in range(max_iter + 1):
         log_likelihood, gamma, xi_sum = _forward_backward(obs, params)
-        if trace and abs(log_likelihood - trace[-1]) <= tol * max(
-            1.0, abs(trace[-1])
-        ):
-            trace.append(log_likelihood)
-            converged = True
-            break
+        converged = bool(
+            trace and abs(log_likelihood - trace[-1]) <= tol * max(1.0, abs(trace[-1]))
+        )
         trace.append(log_likelihood)
-        if iterations >= max_iter:
+        if converged or iterations == max_iter:
             break
         # M-step
         occupancy = gamma[:-1].sum(axis=0)
@@ -260,7 +250,6 @@ def baum_welch(
                 f"EM iteration {iterations + 1}: {exc}"
             ) from exc
         params = HmmParams(a=a, sleep=sleep, wake=wake, pi=gamma[0].copy())
-        iterations += 1
 
     swapped = params.sleep.mu1 >= params.wake.mu2
     if swapped:
@@ -344,5 +333,4 @@ __all__ = [
     "log_terms",
     "read_params",
     "write_params",
-    "State",
 ]

@@ -25,10 +25,8 @@ DEFAULT_MIN_MINUTES = 15.0
 
 
 def _run_arrays(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Start index and length of every maximal same-state run."""
+    """Start index and length of every maximal same-state run of non-empty ``states``."""
     s = np.asarray(states)
-    if s.size == 0:
-        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
     starts = np.concatenate(([0], np.flatnonzero(s[1:] != s[:-1]) + 1))
     return starts, np.diff(starts, append=s.size)
 

@@ -263,16 +263,9 @@ def _parse_epoch_csv(path) -> EpochSeries | None:
         if step is None or step <= timedelta(0) or step.microseconds:
             raise _Unproven
         epoch_seconds = int(step.total_seconds())
-        values = np.frombuffer(counts, dtype=np.int64)
-        if not _valid_epoch_seconds(epoch_seconds) or values.min() < 0:
-            raise _Unproven
-        # The spacing is positive, so the first and last timestamps bound the
-        # others in UTC too.
-        start = _as_utc(first)
-        _as_utc(stamps[-1])
-    except (_Unproven, ValueError, TypeError, OverflowError):
+        return EpochSeries(_as_utc(first), epoch_seconds, np.frombuffer(counts, dtype=np.int64))
+    except (_Unproven, InputError, ValueError, TypeError, OverflowError):
         return None
-    return EpochSeries(start, epoch_seconds, values)
 
 
 def _data_rows(path, header: list[str]):

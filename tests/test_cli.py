@@ -142,6 +142,19 @@ class TestFit:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--out-params", "{d}/fit.log"],  # the default log path is the params path
+         ["--out-params", "{d}/fit.txt", "--out-log", "{d}/./fit.txt"]],
+    )
+    def test_log_path_equal_to_params_path_exits_3(self, sim, capsys, flags):
+        before = sorted(sim["dir"].iterdir())
+        flags = [f.format(d=sim["dir"]) for f in flags]
+        code, _, err = _run(capsys, "fit", str(sim["epochs"]), *flags)
+        assert code == 3
+        assert "overwrite" in err and "Traceback" not in err
+        assert sorted(sim["dir"].iterdir()) == before
+
 
 class TestScore:
     def test_inline_fit_equals_two_step(self, sim, capsys):
@@ -352,6 +365,22 @@ class TestCompare:
         )
         assert code == 2
         assert "short.csv" in err
+
+    def test_bad_prediction_file_named_once(self, sim, capsys):
+        series = read_epoch_csv(sim["epochs"])
+        window = sim["dir"] / "window.txt"
+        _write_window(window, series, 0, 2000, 0, 1999)
+        out = sim["dir"] / "r.csv"
+        # an epoch CSV passed as a prediction has the wrong header
+        code, _, err = _run(
+            capsys,
+            "compare", "--truth", str(sim["labels"]), "--pred", str(sim["epochs"]),
+            "--epochs", str(sim["epochs"]), "--window", str(window), "--out", str(out),
+        )
+        assert code == 2
+        assert err.count(str(sim["epochs"])) == 1
+        assert "expected header 'epoch_index,state'" in err
+        assert not out.exists()
 
 
 class TestGoldenBytes:

@@ -513,6 +513,36 @@ class TestBaumWelch:
             forward_log_likelihood(obs, reference_params())
         ]
 
+    @pytest.mark.parametrize("max_iter", [0, 1, 2, 3])
+    def test_max_iter_counts_m_steps(self, max_iter):
+        # a tol no real step meets: every allowed M-step runs
+        series, _ = simulate(SimSpec(reference_params(), 2880, seed=7))
+        obs = log_transform(series)
+        report = baum_welch(obs, default_init(obs), tol=1e-300, max_iter=max_iter)
+        assert report.iterations == max_iter
+        assert len(report.log_likelihood_trace) == max_iter + 1
+        assert not report.converged
+
+    def test_restart_from_fixed_point_converges_after_one_m_step(self):
+        series, _ = simulate(SimSpec(reference_params(), 2880, seed=7))
+        obs = log_transform(series)
+        again = baum_welch(obs, baum_welch(obs, default_init(obs)).params)
+        assert (again.iterations, len(again.log_likelihood_trace), again.converged) == (
+            1, 2, True
+        )
+
+    def test_stops_at_first_pair_within_tol(self):
+        series, _ = simulate(SimSpec(reference_params(), 2880, seed=7))
+        obs = log_transform(series)
+        report = baum_welch(obs, default_init(obs))
+        trace = report.log_likelihood_trace
+        within = [
+            abs(b - a) <= hmm.DEFAULT_TOL * max(1.0, abs(a)) for a, b in zip(trace, trace[1:])
+        ]
+        assert report.converged
+        assert within.index(True) == len(within) - 1
+        assert report.iterations == len(trace) - 1
+
     def test_swap_enforces_mu_ordering(self):
         series, _ = simulate(SimSpec(reference_params(), 2000, seed=24))
         obs = log_transform(series)
