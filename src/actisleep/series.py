@@ -24,7 +24,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from enum import IntEnum
-from operator import sub
 
 import numpy as np
 
@@ -57,7 +56,10 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EpochSeries:
-    """Ordered non-negative activity counts at a fixed epoch length."""
+    """Ordered non-negative activity counts at a fixed epoch length.
+
+    ``start_time`` is held in UTC; a naive one is read as UTC.
+    """
 
     start_time: datetime
     epoch_seconds: int
@@ -71,6 +73,10 @@ class EpochSeries:
             raise InputError("activity counts must be non-negative")
         if not _valid_epoch_seconds(self.epoch_seconds):
             raise InputError(_SUPPORTED_EPOCH_SECONDS_MSG)
+        try:
+            object.__setattr__(self, "start_time", _as_utc(self.start_time))
+        except OverflowError:
+            raise InputError("start_time falls outside years 1..9999 in UTC") from None
         try:
             self.timestamp(counts.size - 1)
         except OverflowError:
@@ -170,7 +176,7 @@ def _as_utc(ts: datetime) -> datetime:
 
 def format_timestamp(ts: datetime) -> str:
     """``YYYY-MM-DDTHH:MM:SSZ`` in UTC, the year zero-padded to four digits."""
-    return ts.astimezone(timezone.utc).replace(tzinfo=None).isoformat(timespec="seconds") + "Z"
+    return _as_utc(ts).replace(tzinfo=None).isoformat(timespec="seconds") + "Z"
 
 
 @contextmanager
@@ -183,7 +189,7 @@ def _open_text(path):
         raise FormatError(f"{path}: not UTF-8 text: {exc.reason}") from None
 
 
-_READ_CHUNK_BYTES = 1 << 15  # bytes of rows read and checked at a time; bounds the strings held
+_READ_CHUNK_BYTES = 1 << 15  # bytes of rows read and checked at a time; bounds the arrays held
 
 # The bytes a proven field may hold: no whitespace, control character,
 # quote, comma or non-ASCII byte, so csv, str.split and str.strip agree on it.
@@ -195,7 +201,7 @@ class _Unproven(Exception):
 
 
 def _checked_chunks(fh, header: bytes):
-    """Yield the text after ``header``, _READ_CHUNK_BYTES and the rest of a line at a time.
+    """Yield the bytes after ``header``, _READ_CHUNK_BYTES and the rest of a line at a time.
 
     A chunk is proven to be rows of two fields when it ends in a newline
     and deleting its field bytes leaves a comma followed by a newline for
@@ -206,16 +212,139 @@ def _checked_chunks(fh, header: bytes):
         raise _Unproven
     # One read and one readline hold no per-line objects, as readlines does.
     while chunk := fh.read(_READ_CHUNK_BYTES) + fh.readline():
-        rows = chunk.count(b"\n")
-        if not chunk.endswith(b"\n") or chunk.translate(None, _FIELD_BYTES) != b",\n" * rows:
+        marks = chunk.translate(None, _FIELD_BYTES)
+        if not chunk.endswith(b"\n") or marks != b",\n" * (len(marks) // 2):
             raise _Unproven
-        yield chunk.decode("ascii")
+        yield chunk
 
 
-def _columns(text: str) -> tuple[list[str], list[str]]:
-    """The two columns of proven rows."""
-    fields = text.replace("\n", ",").split(",")
-    return fields[0:-1:2], fields[1::2]
+# Byte codecs.  A chunk of rows is one uint8 array; a byte minus ord("0")
+# is its digit, and every other byte wraps to above 9.  Dates go to and
+# from days since 1970-01-01 by Hinnant's days_from_civil and
+# civil_from_days (https://howardhinnant.github.io/date_algorithms.html).
+
+_ZERO = np.uint8(ord("0"))
+_POW10 = 10 ** np.arange(19, dtype=np.int64)  # 1 .. 10**18
+_NUMBER_WIDTH = 19  # the digits of 2**63 - 1
+_UNIX_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_ONE_SECOND = timedelta(seconds=1)
+_FIRST_SECOND = (datetime.min.replace(tzinfo=timezone.utc) - _UNIX_EPOCH) // _ONE_SECOND
+_LAST_SECOND = (datetime.max.replace(tzinfo=timezone.utc) - _UNIX_EPOCH) // _ONE_SECOND
+_MONTH_DAYS = np.zeros(100, dtype=np.int64)  # by two-digit month; 0 for no month
+_MONTH_DAYS[1:13] = (31, 29, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)  # Feb 29 is checked apart
+_MARCH_DAYS = np.zeros(100, dtype=np.int64)  # by month: days from March 1 to its first day
+_MARCH_DAYS[1:13] = (153 * ((np.arange(1, 13) + 9) % 12) + 2) // 5
+
+
+def _days_from_civil(year, month, day):
+    """Days since 1970-01-01 of proleptic Gregorian dates in years 1..9999."""
+    year = year - (month <= 2)  # a year runs from March 1, so it ends on its leap day
+    return year * 365 + year // 4 - year // 100 + year // 400 + _MARCH_DAYS[month] + day - 719469
+
+
+def _civil_from_days(days):
+    """(year, month, day) of days since 1970-01-01, for years 1..9999."""
+    z = days + 719468
+    era = z // 146097
+    doe = z - era * 146097
+    yoe = (doe - doe // 1460 + doe // 36524 - doe // 146096) // 365
+    doy = doe - (365 * yoe + yoe // 4 - yoe // 100)
+    mp = (5 * doy + 2) // 153
+    month = np.where(mp < 10, mp + 3, mp - 9)
+    return era * 400 + yoe + (month <= 2), month, doy - (153 * mp + 2) // 5 + 1
+
+
+def _row_layout(form: str) -> tuple[np.ndarray, bytes]:
+    """The non-digit bytes of a row whose timestamp has ``form`` ("0" for a
+    digit), with the comma and newline: the distance of each from the one
+    before (the first's from the previous newline; 0 for the newline's,
+    which depends on the count), and their bytes."""
+    at = [i for i, ch in enumerate(form) if ch != "0"] + [len(form)]
+    return np.append(np.diff([-1] + at), 0), form.replace("0", "").encode("ascii") + b",\n"
+
+
+# The timestamp forms the codec reads, keyed by width: naive, Z and a
+# +HH:MM or -HH:MM offset.
+_OFFSET_WIDTH = 25
+# Where a timestamp's two-digit fields start: century, year, month, day,
+# hour, minute and second, then the offset's hours and minutes.
+_STAMP_FIELDS = (0, 2, 5, 8, 11, 14, 17)
+_OFFSET_FIELDS = (20, 23)
+_ROW_LAYOUTS = {
+    len(form): _row_layout(form)
+    for form in ("0000-00-00T00:00:00", "0000-00-00T00:00:00Z", "0000-00-00T00:00:00+00:00")
+}
+
+
+def _digit_values(digits: np.ndarray, ends: np.ndarray, widths: np.ndarray) -> np.ndarray:
+    """The numbers whose proven digits fill ``digits[ends - widths:ends]``, 1 to 18 of them."""
+    if widths.min() < 1 or widths.max() > 18:
+        raise _Unproven
+    at = ends - 1
+    values = digits[at].astype(np.int64)
+    for k in range(1, widths.max()):
+        at -= 1
+        values += digits[at] * (_POW10[k] * (widths > k))
+    return values
+
+
+def _row_marks(a: np.ndarray, digits: np.ndarray, per_row: int):
+    """The non-digit bytes of a chunk, ``per_row`` to a row: their positions,
+    their values and the distance of each from the one before (the first from -1)."""
+    where = np.flatnonzero(digits > 9)
+    if where.size % per_row:
+        raise _Unproven
+    steps = np.empty_like(where)
+    steps[0] = where[0] + 1
+    np.subtract(where[1:], where[:-1], out=steps[1:])
+    return where.reshape(-1, per_row), a[where].reshape(-1, per_row), steps.reshape(-1, per_row)
+
+
+def _epoch_rows(chunk: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """The UTC seconds since 1970 and the counts of a chunk of proven epoch rows.
+
+    Every row of the chunk must hold a timestamp of one width in
+    _ROW_LAYOUTS that ``datetime.fromisoformat`` reads, whose UTC instant
+    lies in years 1..9999, and a count of 1 to 18 digits; else _Unproven.
+    """
+    width = chunk.find(b",")
+    if width not in _ROW_LAYOUTS:
+        raise _Unproven
+    gaps, marks = _ROW_LAYOUTS[width]
+    a = np.frombuffer(chunk, dtype=np.uint8)
+    digits = a - _ZERO
+    # Each row's non-digit bytes are its separators, in place, so all other bytes are digits.
+    where, got, steps = _row_marks(a, digits, len(marks))
+    if width == _OFFSET_WIDTH:
+        minus = got[:, 5] == ord("-")
+        got[minus, 5] = ord("+")
+    widths = steps[:, -1] - 1  # the count's digits, between the comma and the newline
+    steps[:, -1] = 0
+    if got.tobytes() != marks * len(got) or (steps != gaps).any():
+        raise _Unproven
+    starts = where[:, 0] - gaps[0] + 1
+    pairs = digits[:-1] * np.uint8(10) + digits[1:]  # the two-digit number at each digit pair
+    century, year, month, day, hour, minute, second = (
+        pairs[starts + i].astype(np.int64) for i in _STAMP_FIELDS
+    )
+    year += century * 100
+    seconds = _days_from_civil(year, month, day) * 86400 + hour * 3600 + minute * 60 + second
+    bad = (year < 1) | (day < 1) | (day > _MONTH_DAYS[month])
+    bad |= (hour > 23) | (minute > 59) | (second > 59)
+    if width == _OFFSET_WIDTH:
+        offset_hours, offset_minutes = (pairs[starts + i].astype(np.int64) for i in _OFFSET_FIELDS)
+        bad |= (offset_hours > 23) | (offset_minutes > 59)
+        offset = offset_hours * 3600 + offset_minutes * 60
+        seconds -= np.where(minus, -offset, offset)
+    leap_years = year[(month == 2) & (day == 29)]
+    if (
+        bad.any()
+        or ((leap_years % 4 != 0) | ((leap_years % 100 == 0) & (leap_years % 400 != 0))).any()
+        or seconds.min() < _FIRST_SECOND
+        or seconds.max() > _LAST_SECOND
+    ):
+        raise _Unproven
+    return seconds, _digit_values(digits, where[:, -1], widths)
 
 
 def read_epoch_csv(path) -> EpochSeries:
@@ -223,13 +352,14 @@ def read_epoch_csv(path) -> EpochSeries:
 
     A one-pass reader parses the file a chunk of rows at a time: each
     chunk's shape is checked with bytes methods (``_checked_chunks``),
-    timestamps go through ``datetime.fromisoformat`` after the same
-    ``Z`` rewrite as ``parse_timestamp``, every spacing must equal the first
-    (across chunk boundaries too), and counts must fit a non-negative
-    int64.  Any file it cannot prove good in that way, from a quoted field,
-    a CR or a blank row to a bad value, is read by the per-row scan
-    ``_scan_epoch_csv`` instead, which defines what the format accepts and
-    names the first bad row in its error.
+    then numpy reads the chunk as bytes (``_epoch_rows``): timestamps in
+    the naive, ``Z`` or ``+HH:MM`` form at second resolution and counts of
+    up to 18 digits.  Every spacing must equal the first, across chunk
+    boundaries too.  Any file it cannot prove good in that way, from a
+    quoted field, a CR or a blank row to another timestamp form, a wider
+    count or a bad value, is read by the per-row scan ``_scan_epoch_csv``
+    instead, which defines what the format accepts and names the first bad
+    row in its error.
 
     Raises FormatError for a malformed header, non-constant or unsupported
     spacing (naming the first offending row), or bad counts (negative or
@@ -243,28 +373,26 @@ def read_epoch_csv(path) -> EpochSeries:
 def _parse_epoch_csv(path) -> EpochSeries | None:
     """The one-pass reader: the series, or None when the row scan must read the file."""
     counts = array("q")
-    stamps = []
-    first = step = None
+    first = step = last = None
     try:
         with open(path, "rb") as fh:
-            for text in _checked_chunks(fh, b"timestamp,count\n"):
-                # A count holding a Z is no integer before the rewrite or after it.
-                stamp_column, count_column = _columns(text.replace("Z", "+00:00"))
-                # The last timestamp carried over checks the spacing across chunks.
-                stamps = stamps[-1:] + list(map(datetime.fromisoformat, stamp_column))
+            for chunk in _checked_chunks(fh, b"timestamp,count\n"):
+                seconds, values = _epoch_rows(chunk)
                 if first is None:
-                    first = stamps[0]
-                if step is None and len(stamps) > 1:
-                    step = stamps[1] - stamps[0]
-                # A naive and an aware timestamp side by side raise TypeError.
-                if list(map(sub, stamps[1:], stamps[:-1])).count(step) != len(stamps) - 1:
+                    first = int(seconds[0])
+                else:  # the last second carried over checks the spacing across chunks
+                    seconds = np.concatenate(([last], seconds))
+                if step is None and seconds.size > 1:
+                    step = int(seconds[1] - seconds[0])
+                if seconds.size > 1 and (seconds[1:] - seconds[:-1] != step).any():
                     raise _Unproven
-                counts.extend(map(int, count_column))
-        if step is None or step <= timedelta(0) or step.microseconds:
+                last = seconds[-1]
+                counts.frombytes(values.tobytes())
+        if step is None:
             raise _Unproven
-        epoch_seconds = int(step.total_seconds())
-        return EpochSeries(_as_utc(first), epoch_seconds, np.frombuffer(counts, dtype=np.int64))
-    except (_Unproven, InputError, ValueError, TypeError, OverflowError):
+        start = _UNIX_EPOCH + timedelta(seconds=first)
+        return EpochSeries(start, step, np.frombuffer(counts, dtype=np.int64))
+    except (_Unproven, InputError):
         return None
 
 
@@ -341,30 +469,57 @@ def _scan_epoch_csv(path) -> EpochSeries:
     return EpochSeries(timestamps[0], epoch_seconds, np.array(counts, dtype=np.int64))
 
 
-_WRITE_CHUNK = 8192  # rows formatted at a time; bounds the strings held at once
+_WRITE_CHUNK = 8192  # rows formatted at a time; bounds the arrays held at once
+
+# Row templates for the writers, one row per line of a block.  A digit
+# column holds "0", whose bits a raw digit 0-9 is OR'd into; a column the
+# writer fills with final bytes holds 0.  The number sits right-aligned in
+# _NUMBER_WIDTH columns, and its unused leading columns are dropped.
+_EPOCH_ROW = np.frombuffer(b"0000-00-00T00:00:00Z," + b"0" * _NUMBER_WIDTH + b"\n", np.uint8)
+_LABEL_ROW = np.frombuffer(b"0" * _NUMBER_WIDTH + b",\0\n", np.uint8)
+_LETTERS = np.frombuffer(b"SW", np.uint8)  # by state: Sleep is 0, Wake 1
+
+
+def _rows_bytes(block: np.ndarray, row: np.ndarray, at: int, numbers: np.ndarray) -> np.ndarray:
+    """The text of ``block``, rows of template ``row`` with raw digits written, once
+    ``numbers`` are written right-aligned from column ``at`` without leading zeros."""
+    widths = 1 + np.searchsorted(_POW10[1:], numbers, side="right")
+    end = at + _NUMBER_WIDTH
+    for k in range(1, widths.max() + 1):
+        numbers, block[:, end - k] = np.divmod(numbers, 10)
+    block |= row
+    columns = np.arange(row.size)
+    kept = (columns < at) | (columns >= end - np.arange(_NUMBER_WIDTH + 1)[:, None])  # by width
+    return block[kept[widths]]
 
 
 def write_epoch_csv(series: EpochSeries, path) -> None:
     """Write ``timestamp,count`` rows; row i is ``format_timestamp(series.timestamp(i))``."""
     # Sub-second parts are truncated on output and every step is whole
-    # seconds, so the range can start from the truncated start time.
-    start = series.start_time.astimezone(timezone.utc).replace(tzinfo=None, microsecond=0)
-    base = np.datetime64(start, "s")
-    with open(path, "w", newline="") as fh:
-        fh.write("timestamp,count\n")
+    # seconds, so the rows count on from the truncated start time.
+    base = (series.start_time.replace(microsecond=0) - _UNIX_EPOCH) // _ONE_SECOND
+    with open(path, "wb") as fh:
+        fh.write(b"timestamp,count\n")
         for lo in range(0, len(series), _WRITE_CHUNK):
-            counts = series.counts[lo : lo + _WRITE_CHUNK].tolist()
-            steps = np.arange(lo, lo + len(counts), dtype=np.int64) * series.epoch_seconds
-            stamps = np.datetime_as_string(base + steps, unit="s").tolist()
-            fh.writelines(f"{ts}Z,{count}\n" for ts, count in zip(stamps, counts))
+            counts = series.counts[lo : lo + _WRITE_CHUNK]
+            seconds = base + np.arange(lo, lo + counts.size, dtype=np.int64) * series.epoch_seconds
+            days, second = np.divmod(seconds, 86400)
+            year, month, day = _civil_from_days(days)
+            hour, second = np.divmod(second, 3600)
+            fields = (year // 100, year % 100, month, day, hour, second // 60, second % 60)
+            block = np.tile(_EPOCH_ROW, (counts.size, 1))
+            for i, value in zip(_STAMP_FIELDS, fields):
+                block[:, i], block[:, i + 1] = np.divmod(value, 10)
+            fh.write(_rows_bytes(block, _EPOCH_ROW, 21, counts))  # counts follow "...Z,"
 
 
 def read_label_csv(path, expected_len: int, epoch_seconds: int = 30) -> StateSequence:
     """Read a label CSV covering indices 0..expected_len-1 exactly once.
 
     A one-pass reader parses the file a chunk of rows at a time: each
-    chunk's shape is checked with bytes methods (``_checked_chunks``), every
-    index must be an integer in range and every state ``S`` or ``W``, and
+    chunk's shape is checked with bytes methods (``_checked_chunks``), then
+    numpy reads the chunk as bytes (``_label_rows``): every index must be
+    1 to 18 digits and in range and every state ``S`` or ``W``, and
     ``expected_len`` rows that set every index hold no duplicate.  Any file
     it cannot prove good in that way is read by the per-row scan
     ``_scan_label_csv`` instead, which defines what the format accepts and
@@ -377,33 +532,42 @@ def read_label_csv(path, expected_len: int, epoch_seconds: int = 30) -> StateSeq
 _UNSET = 2  # the state of an index no label row has set yet
 
 
+def _label_rows(chunk: bytes, expected_len: int) -> tuple[np.ndarray, np.ndarray]:
+    """The indices, and whether each is Wake, of a chunk of proven label rows.
+
+    Every row must be an index of 1 to 18 digits below ``expected_len``, a
+    comma and ``S`` or ``W``; else _Unproven.
+    """
+    a = np.frombuffer(chunk, dtype=np.uint8)
+    digits = a - _ZERO
+    # Each row's non-digit bytes are its comma, state and newline, side by side.
+    where, got, steps = _row_marks(a, digits, 3)
+    wake = got[:, 1] == ord("W")
+    got[wake, 1] = ord("S")
+    if got.tobytes() != b",S\n" * len(got) or (steps[:, 1:] != 1).any():
+        raise _Unproven
+    indices = _digit_values(digits, where[:, 0], steps[:, 0] - 1)
+    if indices.max() >= expected_len:
+        raise _Unproven
+    return indices, wake
+
+
 def _parse_label_csv(path, expected_len: int, epoch_seconds: int) -> StateSequence | None:
     """The one-pass reader: the labels, or None when the row scan must read the file."""
     states = np.full(expected_len, _UNSET, dtype=np.int8)
+    n_rows = 0
     try:
         with open(path, "rb") as fh:
-            chunks = _checked_chunks(fh, b"epoch_index,state\n")
-            n_rows = sum(_set_states(text, states) for text in chunks)
-    except (_Unproven, ValueError, OverflowError):
+            for chunk in _checked_chunks(fh, b"epoch_index,state\n"):
+                indices, wake = _label_rows(chunk, expected_len)
+                states[indices] = wake
+                n_rows += indices.size
+    except _Unproven:
         return None
     # expected_len rows that set every index set none twice
     if n_rows != expected_len or (states == _UNSET).any():
         return None
     return StateSequence(states, epoch_seconds)
-
-
-def _set_states(text: str, states: np.ndarray) -> int:
-    """Set the states a chunk of proven label rows gives; returns its row count."""
-    indices, tokens = _columns(text)
-    idx = np.fromiter(map(int, indices), dtype=np.int64, count=len(indices))
-    if (
-        tokens.count("S") + tokens.count("W") != len(tokens)
-        or idx.min() < 0
-        or idx.max() >= states.size
-    ):
-        raise _Unproven
-    states[idx] = np.frombuffer("".join(tokens).encode("ascii"), dtype=np.uint8) == ord("W")
-    return idx.size
 
 
 def _scan_label_csv(path, expected_len: int, epoch_seconds: int) -> StateSequence:
@@ -437,12 +601,13 @@ def _scan_label_csv(path, expected_len: int, epoch_seconds: int) -> StateSequenc
 
 def write_label_csv(states: StateSequence, path) -> None:
     """Write ``epoch_index,state`` rows, _WRITE_CHUNK rows to each write."""
-    letters = states.to_letters()
-    with open(path, "w", newline="") as fh:
-        fh.write("epoch_index,state\n")
-        for lo in range(0, len(letters), _WRITE_CHUNK):
-            rows = letters[lo : lo + _WRITE_CHUNK]
-            fh.write("".join([f"{i},{letter}\n" for i, letter in enumerate(rows, lo)]))
+    with open(path, "wb") as fh:
+        fh.write(b"epoch_index,state\n")
+        for lo in range(0, len(states), _WRITE_CHUNK):
+            chunk = states.states[lo : lo + _WRITE_CHUNK]
+            block = np.tile(_LABEL_ROW, (chunk.size, 1))
+            block[:, -2] = _LETTERS[chunk]
+            fh.write(_rows_bytes(block, _LABEL_ROW, 0, np.arange(lo, lo + chunk.size)))
 
 
 def read_key_values(path, keys, convert) -> dict:

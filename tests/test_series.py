@@ -1,9 +1,11 @@
 """Data model and file-format tests: CSV ingest, labels, windows, log transform."""
 
+import calendar
 import io
 import math
+import time
 import tracemalloc
-from datetime import datetime, timedelta, timezone
+from datetime import date, datetime, timedelta, timezone
 from unittest import mock
 
 import mpmath
@@ -72,6 +74,17 @@ class TestEpochSeries:
         assert EpochSeries(start, 30, [1, 2]).timestamp(1).second == 30
         with pytest.raises(InputError, match="past year 9999"):
             EpochSeries(start, 30, [1, 2, 3])
+
+    @pytest.mark.parametrize(
+        "start",
+        [
+            datetime(1, 1, 1, tzinfo=timezone(timedelta(hours=1))),
+            datetime(9999, 12, 31, 23, tzinfo=timezone(timedelta(hours=-5))),
+        ],
+    )
+    def test_start_outside_utc_years_rejected(self, start):
+        with pytest.raises(InputError, match="outside years 1..9999 in UTC"):
+            EpochSeries(start, 30, [1])
 
     @pytest.mark.parametrize("epoch_seconds", [0, -30, 45, 90])
     def test_unsupported_epoch_lengths(self, epoch_seconds):
@@ -539,6 +552,49 @@ class TestTimestamps:
             parse_timestamp("yesterday")
 
 
+@pytest.fixture
+def new_york_host(monkeypatch):
+    """Run with the host's local time zone set to America/New_York."""
+    monkeypatch.setenv("TZ", "America/New_York")
+    time.tzset()
+    yield
+    monkeypatch.undo()
+    time.tzset()
+
+
+class TestNaiveStartTimeIsUtc:
+    """A naive timestamp is UTC, whatever the host's local time zone."""
+
+    NAIVE = datetime(2012, 5, 1, 21, 30)
+
+    def test_format_timestamp(self, new_york_host):
+        assert format_timestamp(self.NAIVE) == "2012-05-01T21:30:00Z"
+
+    def test_series_start_held_in_utc(self, new_york_host):
+        series = EpochSeries(self.NAIVE, 30, np.arange(3))
+        assert series.start_time == START
+        assert series.start_time.utcoffset() == timedelta(0)
+
+    def test_writer(self, new_york_host, tmp_path):
+        path = tmp_path / "rec.csv"
+        write_epoch_csv(EpochSeries(self.NAIVE, 30, np.arange(3)), path)
+        assert path.read_text().splitlines()[1:] == [
+            "2012-05-01T21:30:00Z,0",
+            "2012-05-01T21:30:30Z,1",
+            "2012-05-01T21:31:00Z,2",
+        ]
+
+    def test_window_file(self, new_york_host, tmp_path):
+        path = tmp_path / "window.txt"
+        path.write_text(
+            "lights_out=2012-05-01T21:30:00Z\nlights_on=2012-05-01T21:35:00Z\n"
+            "go_to_bed=2012-05-01T21:31:00Z\nget_up=2012-05-01T21:34:00Z\n"
+        )
+        window = read_window_file(path, EpochSeries(self.NAIVE, 30, np.zeros(20, dtype=np.int64)))
+        got = (window.lights_out, window.lights_on, window.go_to_bed, window.get_up)
+        assert got == (0, 10, 2, 8)
+
+
 class TestLogSeries:
     def test_negative_rejected(self):
         with pytest.raises(InputError):
@@ -574,6 +630,11 @@ def _assert_agree(fast, read, scan, *args):
     got = _outcome(fast, *args)
     assert got is None or got == expected
     return got is not None
+
+
+def _stamped(*rows: str) -> str:
+    """An epoch CSV's text with these rows."""
+    return "timestamp,count\n" + "".join(f"{row}\n" for row in rows)
 
 
 @pytest.fixture(scope="module")
@@ -701,6 +762,54 @@ class TestOnePassAgreesWithRowScan:
     @example(("timestamp,count\n2012-05-01T21:30:00Z,1,2012-05-01T21:30:30Z,2\n", False), 96)
     @example(("timestamp,count\n2012-05-01T21:30:00,1\n2012-05-01T21:30:30.5,2\n", False), 96)
     @example(("timestamp,count\n2012-05-01T21:30:00,1\n2012-05-01T21:30:30,2\n1", False), 8)
+    # Traps for the numpy codec: separators off their places, calendar and
+    # clock ranges, offsets, year 0, UTC instants outside years 1..9999, day,
+    # month and year rollovers (also at a chunk boundary), counts around its
+    # 18-digit limit, an empty count, and rows that change their offset (the
+    # codec reads each row's own offset, so it gives the scan's result).
+    @example((_stamped("2013-02-28T23:59:30Z,1", "2013-02-29T00:00:00Z,2"), False), 96)
+    @example((_stamped("2000-02-28T23:59:30Z,1", "2000-02-29T00:00:00Z,2"), True), 96)
+    @example((_stamped("1900-02-28T23:59:30Z,1", "1900-02-29T00:00:00Z,2"), False), 96)
+    @example((_stamped("2012-04-30T23:59:30,1", "2012-04-31T00:00:00,2"), False), 96)
+    @example((_stamped("2012-04-30T23:59:30,1", "2012-04-30T24:00:00,2"), False), 96)
+    @example((_stamped("2012-07-11T21:29:30Z,1", "2012-1-011T21:30:00Z,2"), False), 96)
+    @example((_stamped("2012-05-00T23:59:30Z,1", "2012-05-01T00:00:00Z,2"), False), 96)
+    @example((_stamped("2012-12-31T23:59:30Z,1", "2012-13-01T00:00:00Z,2"), False), 96)
+    @example((_stamped("2012-05-01T21:29:60Z,1", "2012-05-01T21:30:30Z,2"), False), 96)
+    @example((_stamped("2012-05-01T21:60:00Z,1", "2012-05-01T22:00:30Z,2"), False), 96)
+    @example((_stamped("2012-05-01T21:30:00+24:00,1", "2012-05-01T21:30:30+24:00,2"), False), 96)
+    @example((_stamped("2012-05-01T21:30:00-05:00,1", "2012-05-01T21:30:30-05:00,2"), True), 96)
+    @example((_stamped("2012-05-01T21:30:00Z01:00,1", "2012-05-01T21:30:30Z01:00,2"), False), 96)
+    @example((_stamped("0001-01-01T00:30:00+01:00,1", "0001-01-01T00:30:30+01:00,2"), False), 96)
+    @example((_stamped("9999-12-31T23:59:00-01:00,1", "9999-12-31T23:59:30-01:00,2"), False), 96)
+    @example((_stamped("2012-05-01T21:30:00-00:00,1", "2012-05-01T21:30:30-00:00,2"), True), 96)
+    @example((_stamped("0000-12-31T23:59:30Z,1", "0001-01-01T00:00:00Z,2"), False), 96)
+    @example((_stamped("0000-12-31T23:30:00-01:00,1", "0000-12-31T23:30:30-01:00,2"), False), 96)
+    @example((_stamped("2012-05-01T23:59:30+01:00,1", "2012-05-02T00:00:00+01:00,2"), True), 8)
+    @example((_stamped("2013-02-28T23:59:30,1", "2013-03-01T00:00:00,2"), True), 96)
+    @example((_stamped("1999-12-31T23:59:30Z,1", "2000-01-01T00:00:00Z,2"), True), 8)
+    @example((_stamped("2012-05-01T21:30:00Z,007", "2012-05-01T21:30:30Z,0"), True), 96)
+    @example((_stamped("2012-05-01T21:30:00Z,", "2012-05-01T21:30:30Z,0"), False), 96)
+    @example(
+        (_stamped("2012-05-01T21:30:00Z,1", "2012-05-01T21:30:30Z,9223372036854775807"), False), 96
+    )
+    @example(
+        (_stamped("2012-05-01T21:30:00Z,1", "2012-05-01T21:30:30Z,9223372036854775808"), False), 96
+    )
+    @example(
+        (_stamped("2012-05-01T21:30:00Z,1", "2012-05-01T21:30:30Z,999999999999999999"), True), 96
+    )
+    @example(
+        (
+            _stamped(
+                "2012-05-01T21:30:00+01:00,1",
+                "2012-05-01T21:30:30+01:00,2",
+                "2012-05-01T22:31:00+02:00,3",
+            ),
+            False,
+        ),
+        96,
+    )
     @settings(max_examples=300, deadline=None)
     @given(epoch_files(), st.integers(1, 96))
     def test_epoch_reader(self, files_dir, file, chunk_bytes):
@@ -714,10 +823,13 @@ class TestOnePassAgreesWithRowScan:
         assert fast or not clean
 
     # Traps: two rows on one line, a row written twice, a one-field last row
-    # with no newline.
+    # with no newline, an index with a leading zero (which int() reads), a
+    # digit after the state.
     @example(("epoch_index,state\n0,S,1,W\n", 2, False), 48)
     @example(("epoch_index,state\n0,S\n1,W\n1,W\n", 2, False), 48)
     @example(("epoch_index,state\n0,S\n1,W\n2", 2, False), 4)
+    @example(("epoch_index,state\n00,S\n1,W\n", 2, True), 48)
+    @example(("epoch_index,state\n0,S1\n1,W\n", 2, False), 48)
     @settings(max_examples=300, deadline=None)
     @given(label_files(), st.integers(1, 48))
     def test_label_reader(self, files_dir, file, chunk_bytes):
@@ -734,16 +846,108 @@ class TestOnePassAgreesWithRowScan:
         assert fast or not clean
 
 
+# ---------------------------------------------------------------------------
+# The byte-codec writers against the f-string writers they replaced
+
+
+def _reference_epoch_text(series: EpochSeries) -> str:
+    """The f-string writer's epoch CSV: numpy-formatted UTC stamps from the truncated start."""
+    start = series.start_time.astimezone(timezone.utc).replace(tzinfo=None, microsecond=0)
+    steps = np.arange(len(series), dtype=np.int64) * series.epoch_seconds
+    stamps = np.datetime_as_string(np.datetime64(start, "s") + steps, unit="s").tolist()
+    rows = [f"{ts}Z,{count}\n" for ts, count in zip(stamps, series.counts.tolist())]
+    return "timestamp,count\n" + "".join(rows)
+
+
+def _reference_label_text(states: StateSequence) -> str:
+    """The f-string writer's label CSV."""
+    rows = [f"{i},{letter}\n" for i, letter in enumerate(states.to_letters())]
+    return "epoch_index,state\n" + "".join(rows)
+
+
+SUPPORTED_EPOCH_SECONDS = [s for s in range(1, 3601) if 60 % s == 0 or s % 60 == 0]
+FIRST_INSTANT = datetime(1, 1, 1, tzinfo=timezone.utc)
+LAST_INSTANT = datetime(9999, 12, 31, 23, 59, 59, 999999, tzinfo=timezone.utc)
+# 0, 2**63 - 1, and both sides of every power of ten from 10 to 10**18
+POWER_EDGES = [0, 2**63 - 1] + [10**k + d for k in range(1, 19) for d in (-1, 0)]
+
+
+@st.composite
+def series_to_write(draw):
+    """A series anywhere in years 1..9999 at any supported spacing up to an hour."""
+    n = draw(st.integers(1, 40))
+    epoch_seconds = draw(st.sampled_from(SUPPORTED_EPOCH_SECONDS))
+    latest = LAST_INSTANT - timedelta(seconds=(n - 1) * epoch_seconds)
+    start = FIRST_INSTANT + draw(st.timedeltas(timedelta(0), latest - FIRST_INSTANT))
+    count = st.sampled_from(POWER_EDGES) | st.integers(0, 2**63 - 1)
+    counts = draw(st.lists(count, min_size=n, max_size=n))
+    return EpochSeries(start, epoch_seconds, np.array(counts, dtype=np.int64))
+
+
+def _utc(*fields):
+    return datetime(*fields, tzinfo=timezone.utc)
+
+
+class TestByteCodecWriters:
+    """The writers give the f-string writers' bytes, and the one-pass readers read them back."""
+
+    @example(EpochSeries(_utc(999, 12, 31, 23, 59, 30), 30, [9, 10, 99]))
+    @example(EpochSeries(_utc(1, 1, 1), 1, [0, 1]))
+    @example(EpochSeries(_utc(2000, 2, 28, 23, 59), 60, [0, 2**63 - 1]))
+    @example(EpochSeries(_utc(2004, 2, 29, 23, 59, 59, 999999), 1, [10**18 - 1, 10**18]))
+    @example(EpochSeries(_utc(9999, 12, 31, 22, 59, 59), 3600, [1, 2]))
+    @settings(max_examples=300, deadline=None)
+    @given(series_to_write())
+    def test_epoch_writer(self, files_dir, series):
+        path = files_dir / "written.csv"
+        write_epoch_csv(series, path)
+        assert path.read_text() == _reference_epoch_text(series)
+        if len(series) > 1 and series.counts.max() < 10**18:
+            back = series_module._parse_epoch_csv(path)
+            assert back is not None
+            assert back.start_time == series.start_time.replace(microsecond=0)
+            assert back.epoch_seconds == series.epoch_seconds
+            assert back.counts.tolist() == series.counts.tolist()
+
+    @example(2 * series_module._WRITE_CHUNK + 3, 0)
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 3 * series_module._WRITE_CHUNK), st.integers(0, 2**32 - 1))
+    def test_label_writer(self, files_dir, n, seed):
+        states = StateSequence(np.random.default_rng(seed).integers(0, 2, n, dtype=np.int8), 30)
+        path = files_dir / "written.csv"
+        write_label_csv(states, path)
+        assert path.read_text() == _reference_label_text(states)
+        back = series_module._parse_label_csv(path, n, 30)
+        assert back is not None
+        assert back.states.tolist() == states.states.tolist()
+
+    def test_calendar_matches_ordinals(self):
+        """Jan 1, Feb 28/29, Mar 1 and Dec 31 of every year from 1 to 9999."""
+        dates = [
+            date(year, month, day)
+            for year in range(1, 10000)
+            for month, day in ((1, 1), (2, 28), (2, 29), (3, 1), (12, 31))
+            if day != 29 or calendar.isleap(year)
+        ]
+        year, month, day = (np.array(f) for f in zip(*((d.year, d.month, d.day) for d in dates)))
+        unix_day = date(1970, 1, 1).toordinal()
+        days = np.array([d.toordinal() for d in dates]) - unix_day
+        assert np.array_equal(series_module._days_from_civil(year, month, day), days)
+        expected = [date.fromordinal(unix_day + int(n)) for n in days]
+        got = series_module._civil_from_days(days)
+        assert [date(*fields) for fields in zip(*(f.tolist() for f in got))] == expected
+
+
 class TestChunkProof:
     """The bytes check proves rows of two fields of printable ASCII, no quote or space."""
 
     @staticmethod
-    def _chunks(rows: bytes) -> list[str]:
+    def _chunks(rows: bytes) -> list[bytes]:
         return list(series_module._checked_chunks(io.BytesIO(b"h\n" + rows), b"h\n"))
 
     @pytest.mark.parametrize("rows", [b"0,S\n1,W\n", b",\n", b"2012-05-01T21:30:00Z,7\n"])
     def test_proven(self, rows):
-        assert "".join(self._chunks(rows)) == rows.decode("ascii")
+        assert b"".join(self._chunks(rows)) == rows
 
     # A third field then a one-field row keeps one comma per newline.
     @pytest.mark.parametrize(
@@ -759,7 +963,7 @@ class TestChunkProof:
 def _chunk_rows(path, header: bytes) -> list[int]:
     """The number of rows in each chunk the one-pass reader reads from ``path``."""
     with open(path, "rb") as fh:
-        return [text.count("\n") for text in series_module._checked_chunks(fh, header)]
+        return [chunk.count(b"\n") for chunk in series_module._checked_chunks(fh, header)]
 
 
 class TestMultiChunkFiles:
