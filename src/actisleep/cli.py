@@ -341,7 +341,7 @@ def build_parser() -> _Parser:
     p.add_argument("--params", help="parameter file (default: reference parameters)")
     p.add_argument("--t", type=_int_in(2), default=2880, help="number of epochs")
     p.add_argument("--epoch-seconds", type=_epoch_seconds, default=30)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_in(0), default=0)
     p.add_argument("--start", help="ISO-8601 start timestamp")
     p.add_argument("--out-prefix", required=True)
     p.add_argument("--json", action="store_true")
@@ -393,7 +393,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("verify", help="run brute-force oracle self-checks")
     p.add_argument("--trials", type=_int_in(0), default=200)
     p.add_argument("--max-t", type=_int_in(1, BRUTE_FORCE_MAX_T), default=12)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_in(0), default=0)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify)
     return parser

@@ -191,10 +191,6 @@ def _open_text(path):
 
 _READ_CHUNK_BYTES = 1 << 15  # bytes of rows read and checked at a time; bounds the arrays held
 
-# The bytes a proven field may hold: no whitespace, control character,
-# quote, comma or non-ASCII byte, so csv, str.split and str.strip agree on it.
-_FIELD_BYTES = bytes(b for b in range(0x21, 0x7F) if b not in b'",')
-
 
 class _Unproven(Exception):
     """The one-pass check could not prove part of a file well formed."""
@@ -203,33 +199,31 @@ class _Unproven(Exception):
 def _checked_chunks(fh, header: bytes):
     """Yield the bytes after ``header``, _READ_CHUNK_BYTES and the rest of a line at a time.
 
-    A chunk is proven to be rows of two fields when it ends in a newline
-    and deleting its field bytes leaves a comma followed by a newline for
-    each row, and nothing else.  Raises _Unproven on the first chunk that
-    is not, and when the header line is not exactly ``header``.
+    Raises _Unproven when the header line is not exactly ``header`` and on
+    a chunk that does not end in a newline.  The codecs check the rows.
     """
     if fh.readline() != header:
         raise _Unproven
     # One read and one readline hold no per-line objects, as readlines does.
     while chunk := fh.read(_READ_CHUNK_BYTES) + fh.readline():
-        marks = chunk.translate(None, _FIELD_BYTES)
-        if not chunk.endswith(b"\n") or marks != b",\n" * (len(marks) // 2):
+        if not chunk.endswith(b"\n"):
             raise _Unproven
         yield chunk
 
 
 # Byte codecs.  A chunk of rows is one uint8 array; a byte minus ord("0")
-# is its digit, and every other byte wraps to above 9.  Dates go to and
-# from days since 1970-01-01 by Hinnant's days_from_civil and
-# civil_from_days (https://howardhinnant.github.io/date_algorithms.html).
+# is its digit, and every other byte wraps to above 9.  A codec proves a
+# chunk by finding each row's non-digit bytes to be exactly its separators,
+# each in its place, so a quote, CR, space, tab, blank row, NUL or non-ASCII
+# byte fails it.  Dates go to and from days since 1970-01-01 by Hinnant's
+# days_from_civil and civil_from_days
+# (https://howardhinnant.github.io/date_algorithms.html).
 
 _ZERO = np.uint8(ord("0"))
 _POW10 = 10 ** np.arange(19, dtype=np.int64)  # 1 .. 10**18
 _NUMBER_WIDTH = 19  # the digits of 2**63 - 1
 _UNIX_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _ONE_SECOND = timedelta(seconds=1)
-_FIRST_SECOND = (datetime.min.replace(tzinfo=timezone.utc) - _UNIX_EPOCH) // _ONE_SECOND
-_LAST_SECOND = (datetime.max.replace(tzinfo=timezone.utc) - _UNIX_EPOCH) // _ONE_SECOND
 _MONTH_DAYS = np.zeros(100, dtype=np.int64)  # by two-digit month; 0 for no month
 _MONTH_DAYS[1:13] = (31, 29, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)  # Feb 29 is checked apart
 _MARCH_DAYS = np.zeros(100, dtype=np.int64)  # by month: days from March 1 to its first day
@@ -254,26 +248,18 @@ def _civil_from_days(days):
     return era * 400 + yoe + (month <= 2), month, doy - (153 * mp + 2) // 5 + 1
 
 
-def _row_layout(form: str) -> tuple[np.ndarray, bytes]:
-    """The non-digit bytes of a row whose timestamp has ``form`` ("0" for a
-    digit), with the comma and newline: the distance of each from the one
-    before (the first's from the previous newline; 0 for the newline's,
-    which depends on the count), and their bytes."""
-    at = [i for i, ch in enumerate(form) if ch != "0"] + [len(form)]
-    return np.append(np.diff([-1] + at), 0), form.replace("0", "").encode("ascii") + b",\n"
-
-
-# The timestamp forms the codec reads, keyed by width: naive, Z and a
-# +HH:MM or -HH:MM offset.
-_OFFSET_WIDTH = 25
-# Where a timestamp's two-digit fields start: century, year, month, day,
-# hour, minute and second, then the offset's hours and minutes.
+# The one timestamp form the writer writes and the codec reads; "0" is a
+# digit.  Its two-digit fields start at _STAMP_FIELDS: century, year,
+# month, day, hour, minute and second.
+_STAMP = b"0000-00-00T00:00:00Z"
 _STAMP_FIELDS = (0, 2, 5, 8, 11, 14, 17)
-_OFFSET_FIELDS = (20, 23)
-_ROW_LAYOUTS = {
-    len(form): _row_layout(form)
-    for form in ("0000-00-00T00:00:00", "0000-00-00T00:00:00Z", "0000-00-00T00:00:00+00:00")
-}
+# An epoch row's non-digit bytes, and the distance of each from the one
+# before (the first's from the previous newline; 0 for the newline's,
+# which depends on the count).
+_EPOCH_MARKS = _STAMP.replace(b"0", b"") + b",\n"
+_EPOCH_GAPS = np.append(
+    np.diff([-1] + [i for i, b in enumerate(_STAMP + b",") if b != ord("0")]), 0
+)
 
 
 def _digit_values(digits: np.ndarray, ends: np.ndarray, widths: np.ndarray) -> np.ndarray:
@@ -301,65 +287,47 @@ def _row_marks(a: np.ndarray, digits: np.ndarray, per_row: int):
 
 
 def _epoch_rows(chunk: bytes) -> tuple[np.ndarray, np.ndarray]:
-    """The UTC seconds since 1970 and the counts of a chunk of proven epoch rows.
+    """The UTC seconds since 1970 and the counts of a chunk of epoch rows.
 
-    Every row of the chunk must hold a timestamp of one width in
-    _ROW_LAYOUTS that ``datetime.fromisoformat`` reads, whose UTC instant
-    lies in years 1..9999, and a count of 1 to 18 digits; else _Unproven.
+    Every row must hold a _STAMP timestamp that ``datetime.fromisoformat``
+    reads, a comma, a count of 1 to 18 digits and a newline; else _Unproven.
     """
-    width = chunk.find(b",")
-    if width not in _ROW_LAYOUTS:
-        raise _Unproven
-    gaps, marks = _ROW_LAYOUTS[width]
     a = np.frombuffer(chunk, dtype=np.uint8)
     digits = a - _ZERO
     # Each row's non-digit bytes are its separators, in place, so all other bytes are digits.
-    where, got, steps = _row_marks(a, digits, len(marks))
-    if width == _OFFSET_WIDTH:
-        minus = got[:, 5] == ord("-")
-        got[minus, 5] = ord("+")
+    where, got, steps = _row_marks(a, digits, len(_EPOCH_MARKS))
     widths = steps[:, -1] - 1  # the count's digits, between the comma and the newline
     steps[:, -1] = 0
-    if got.tobytes() != marks * len(got) or (steps != gaps).any():
+    if got.tobytes() != _EPOCH_MARKS * len(got) or (steps != _EPOCH_GAPS).any():
         raise _Unproven
-    starts = where[:, 0] - gaps[0] + 1
+    starts = where[:, 0] - _EPOCH_GAPS[0] + 1
     pairs = digits[:-1] * np.uint8(10) + digits[1:]  # the two-digit number at each digit pair
     century, year, month, day, hour, minute, second = (
         pairs[starts + i].astype(np.int64) for i in _STAMP_FIELDS
     )
-    year += century * 100
-    seconds = _days_from_civil(year, month, day) * 86400 + hour * 3600 + minute * 60 + second
+    year += century * 100  # four digits and at least 1: years 1..9999
     bad = (year < 1) | (day < 1) | (day > _MONTH_DAYS[month])
     bad |= (hour > 23) | (minute > 59) | (second > 59)
-    if width == _OFFSET_WIDTH:
-        offset_hours, offset_minutes = (pairs[starts + i].astype(np.int64) for i in _OFFSET_FIELDS)
-        bad |= (offset_hours > 23) | (offset_minutes > 59)
-        offset = offset_hours * 3600 + offset_minutes * 60
-        seconds -= np.where(minus, -offset, offset)
     leap_years = year[(month == 2) & (day == 29)]
-    if (
-        bad.any()
-        or ((leap_years % 4 != 0) | ((leap_years % 100 == 0) & (leap_years % 400 != 0))).any()
-        or seconds.min() < _FIRST_SECOND
-        or seconds.max() > _LAST_SECOND
-    ):
+    bad_leap = (leap_years % 4 != 0) | ((leap_years % 100 == 0) & (leap_years % 400 != 0))
+    if bad.any() or bad_leap.any():
         raise _Unproven
+    seconds = _days_from_civil(year, month, day) * 86400 + hour * 3600 + minute * 60 + second
     return seconds, _digit_values(digits, where[:, -1], widths)
 
 
 def read_epoch_csv(path) -> EpochSeries:
     """Read an epoch CSV, inferring epoch_seconds from row spacing.
 
-    A one-pass reader parses the file a chunk of rows at a time: each
-    chunk's shape is checked with bytes methods (``_checked_chunks``),
-    then numpy reads the chunk as bytes (``_epoch_rows``): timestamps in
-    the naive, ``Z`` or ``+HH:MM`` form at second resolution and counts of
-    up to 18 digits.  Every spacing must equal the first, across chunk
-    boundaries too.  Any file it cannot prove good in that way, from a
-    quoted field, a CR or a blank row to another timestamp form, a wider
-    count or a bad value, is read by the per-row scan ``_scan_epoch_csv``
-    instead, which defines what the format accepts and names the first bad
-    row in its error.
+    A one-pass reader parses the file a chunk of rows at a time
+    (``_checked_chunks``), and numpy reads each chunk as bytes
+    (``_epoch_rows``): timestamps in the ``Z`` form the writer writes and
+    counts of up to 18 digits.  Every spacing must equal the first, across
+    chunk boundaries too.  Any file it cannot prove good in that way, from
+    a quoted field, a CR or a blank row to a naive or ``+HH:MM`` timestamp,
+    a wider count or a bad value, is read by the per-row scan
+    ``_scan_epoch_csv`` instead, which defines what the format accepts and
+    names the first bad row in its error.
 
     Raises FormatError for a malformed header, non-constant or unsupported
     spacing (naming the first offending row), or bad counts (negative or
@@ -475,7 +443,7 @@ _WRITE_CHUNK = 8192  # rows formatted at a time; bounds the arrays held at once
 # column holds "0", whose bits a raw digit 0-9 is OR'd into; a column the
 # writer fills with final bytes holds 0.  The number sits right-aligned in
 # _NUMBER_WIDTH columns, and its unused leading columns are dropped.
-_EPOCH_ROW = np.frombuffer(b"0000-00-00T00:00:00Z," + b"0" * _NUMBER_WIDTH + b"\n", np.uint8)
+_EPOCH_ROW = np.frombuffer(_STAMP + b"," + b"0" * _NUMBER_WIDTH + b"\n", np.uint8)
 _LABEL_ROW = np.frombuffer(b"0" * _NUMBER_WIDTH + b",\0\n", np.uint8)
 _LETTERS = np.frombuffer(b"SW", np.uint8)  # by state: Sleep is 0, Wake 1
 
@@ -510,20 +478,19 @@ def write_epoch_csv(series: EpochSeries, path) -> None:
             block = np.tile(_EPOCH_ROW, (counts.size, 1))
             for i, value in zip(_STAMP_FIELDS, fields):
                 block[:, i], block[:, i + 1] = np.divmod(value, 10)
-            fh.write(_rows_bytes(block, _EPOCH_ROW, 21, counts))  # counts follow "...Z,"
+            fh.write(_rows_bytes(block, _EPOCH_ROW, len(_STAMP) + 1, counts))
 
 
 def read_label_csv(path, expected_len: int, epoch_seconds: int = 30) -> StateSequence:
     """Read a label CSV covering indices 0..expected_len-1 exactly once.
 
-    A one-pass reader parses the file a chunk of rows at a time: each
-    chunk's shape is checked with bytes methods (``_checked_chunks``), then
-    numpy reads the chunk as bytes (``_label_rows``): every index must be
-    1 to 18 digits and in range and every state ``S`` or ``W``, and
-    ``expected_len`` rows that set every index hold no duplicate.  Any file
-    it cannot prove good in that way is read by the per-row scan
-    ``_scan_label_csv`` instead, which defines what the format accepts and
-    names the first bad row in its error.
+    A one-pass reader parses the file a chunk of rows at a time
+    (``_checked_chunks``), and numpy reads each chunk as bytes
+    (``_label_rows``): every index must be 1 to 18 digits and in range and
+    every state ``S`` or ``W``, and ``expected_len`` rows that set every
+    index hold no duplicate.  Any file it cannot prove good in that way is
+    read by the per-row scan ``_scan_label_csv`` instead, which defines what
+    the format accepts and names the first bad row in its error.
     """
     labels = _parse_label_csv(path, expected_len, epoch_seconds)
     return _scan_label_csv(path, expected_len, epoch_seconds) if labels is None else labels
@@ -533,10 +500,10 @@ _UNSET = 2  # the state of an index no label row has set yet
 
 
 def _label_rows(chunk: bytes, expected_len: int) -> tuple[np.ndarray, np.ndarray]:
-    """The indices, and whether each is Wake, of a chunk of proven label rows.
+    """The indices, and whether each is Wake, of a chunk of label rows.
 
     Every row must be an index of 1 to 18 digits below ``expected_len``, a
-    comma and ``S`` or ``W``; else _Unproven.
+    comma, ``S`` or ``W`` and a newline; else _Unproven.
     """
     a = np.frombuffer(chunk, dtype=np.uint8)
     digits = a - _ZERO

@@ -52,6 +52,8 @@ class SimSpec:
     def __post_init__(self) -> None:
         if self.t_epochs < 1:
             raise InputError("t_epochs must be >= 1")
+        if self.seed < 0:
+            raise InputError("seed must be >= 0")
 
 
 def _sample_states(params: HmmParams, t_epochs: int, rng: np.random.Generator) -> np.ndarray:

@@ -687,6 +687,18 @@ class TestUsageErrors:
         assert "divide 60" in err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["simulate", "--t", "100", "--out-prefix", "rec"], ["verify", "--trials", "1"]],
+    )
+    def test_negative_seed_exits_3(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = _run(capsys, *argv, "--seed", "-1")
+        assert code == 3
+        assert "Traceback" not in err
+        assert out == ""
+        assert not list(tmp_path.iterdir())
+
     def test_simulate_single_epoch_exits_3(self, tmp_path, capsys):
         # one epoch gives a CSV whose spacing no reader can infer
         code, _, err = _run(

@@ -668,7 +668,7 @@ def epoch_files(draw):
     mutations = st.sampled_from(_EPOCH_MUTATIONS if draw(st.booleans()) else [""])
     lines = ["timestamp,count" + eol]
     shift = 0
-    clean = n >= 2 and spacing in (15, 30, 60) and form != "mixed" and eol == "\n"
+    clean = n >= 2 and spacing in (15, 30, 60) and form == "Z" and eol == "\n"
     for i in range(n):
         mutation = draw(mutations)
         clean = clean and not mutation
@@ -763,30 +763,35 @@ class TestOnePassAgreesWithRowScan:
     @example(("timestamp,count\n2012-05-01T21:30:00,1\n2012-05-01T21:30:30.5,2\n", False), 96)
     @example(("timestamp,count\n2012-05-01T21:30:00,1\n2012-05-01T21:30:30,2\n1", False), 8)
     # Traps for the numpy codec: separators off their places, calendar and
-    # clock ranges, offsets, year 0, UTC instants outside years 1..9999, day,
-    # month and year rollovers (also at a chunk boundary), counts around its
-    # 18-digit limit, an empty count, and rows that change their offset (the
-    # codec reads each row's own offset, so it gives the scan's result).
+    # clock ranges, year 0, day, month and year rollovers (also at a chunk
+    # boundary), counts around its 18-digit limit and an empty count.  The
+    # codec reads only the Z form, so naive and offset rows (UTC instants
+    # outside years 1..9999, rows that change their offset) must reach the
+    # row scan and give its result.
     @example((_stamped("2013-02-28T23:59:30Z,1", "2013-02-29T00:00:00Z,2"), False), 96)
     @example((_stamped("2000-02-28T23:59:30Z,1", "2000-02-29T00:00:00Z,2"), True), 96)
     @example((_stamped("1900-02-28T23:59:30Z,1", "1900-02-29T00:00:00Z,2"), False), 96)
     @example((_stamped("2012-04-30T23:59:30,1", "2012-04-31T00:00:00,2"), False), 96)
     @example((_stamped("2012-04-30T23:59:30,1", "2012-04-30T24:00:00,2"), False), 96)
+    @example((_stamped("2012-04-30T23:59:30Z,1", "2012-04-31T00:00:00Z,2"), False), 96)
+    @example((_stamped("2012-04-30T23:59:30Z,1", "2012-04-30T24:00:00Z,2"), False), 96)
     @example((_stamped("2012-07-11T21:29:30Z,1", "2012-1-011T21:30:00Z,2"), False), 96)
     @example((_stamped("2012-05-00T23:59:30Z,1", "2012-05-01T00:00:00Z,2"), False), 96)
     @example((_stamped("2012-12-31T23:59:30Z,1", "2012-13-01T00:00:00Z,2"), False), 96)
     @example((_stamped("2012-05-01T21:29:60Z,1", "2012-05-01T21:30:30Z,2"), False), 96)
     @example((_stamped("2012-05-01T21:60:00Z,1", "2012-05-01T22:00:30Z,2"), False), 96)
     @example((_stamped("2012-05-01T21:30:00+24:00,1", "2012-05-01T21:30:30+24:00,2"), False), 96)
-    @example((_stamped("2012-05-01T21:30:00-05:00,1", "2012-05-01T21:30:30-05:00,2"), True), 96)
+    @example((_stamped("2012-05-01T21:30:00-05:00,1", "2012-05-01T21:30:30-05:00,2"), False), 96)
     @example((_stamped("2012-05-01T21:30:00Z01:00,1", "2012-05-01T21:30:30Z01:00,2"), False), 96)
     @example((_stamped("0001-01-01T00:30:00+01:00,1", "0001-01-01T00:30:30+01:00,2"), False), 96)
     @example((_stamped("9999-12-31T23:59:00-01:00,1", "9999-12-31T23:59:30-01:00,2"), False), 96)
-    @example((_stamped("2012-05-01T21:30:00-00:00,1", "2012-05-01T21:30:30-00:00,2"), True), 96)
+    @example((_stamped("2012-05-01T21:30:00-00:00,1", "2012-05-01T21:30:30-00:00,2"), False), 96)
     @example((_stamped("0000-12-31T23:59:30Z,1", "0001-01-01T00:00:00Z,2"), False), 96)
     @example((_stamped("0000-12-31T23:30:00-01:00,1", "0000-12-31T23:30:30-01:00,2"), False), 96)
-    @example((_stamped("2012-05-01T23:59:30+01:00,1", "2012-05-02T00:00:00+01:00,2"), True), 8)
-    @example((_stamped("2013-02-28T23:59:30,1", "2013-03-01T00:00:00,2"), True), 96)
+    @example((_stamped("2012-05-01T23:59:30+01:00,1", "2012-05-02T00:00:00+01:00,2"), False), 8)
+    @example((_stamped("2013-02-28T23:59:30,1", "2013-03-01T00:00:00,2"), False), 96)
+    @example((_stamped("2012-05-01T23:59:30Z,1", "2012-05-02T00:00:00Z,2"), True), 8)
+    @example((_stamped("2013-02-28T23:59:30Z,1", "2013-03-01T00:00:00Z,2"), True), 96)
     @example((_stamped("1999-12-31T23:59:30Z,1", "2000-01-01T00:00:00Z,2"), True), 8)
     @example((_stamped("2012-05-01T21:30:00Z,007", "2012-05-01T21:30:30Z,0"), True), 96)
     @example((_stamped("2012-05-01T21:30:00Z,", "2012-05-01T21:30:30Z,0"), False), 96)
@@ -939,7 +944,7 @@ class TestByteCodecWriters:
 
 
 class TestChunkProof:
-    """The bytes check proves rows of two fields of printable ASCII, no quote or space."""
+    """The chunk reader checks the header and final newline; the codecs refuse other bad bytes."""
 
     @staticmethod
     def _chunks(rows: bytes) -> list[bytes]:
@@ -947,9 +952,17 @@ class TestChunkProof:
 
     @pytest.mark.parametrize("rows", [b"0,S\n1,W\n", b",\n", b"2012-05-01T21:30:00Z,7\n"])
     def test_proven(self, rows):
+        """Any rows that end in a newline pass; the codecs check the rest."""
         assert b"".join(self._chunks(rows)) == rows
 
-    # A third field then a one-field row keeps one comma per newline.
+    def test_empty_fields_refused_by_both_codecs(self):
+        with pytest.raises(series_module._Unproven):
+            series_module._label_rows(b",\n", 2)
+        with pytest.raises(series_module._Unproven):
+            series_module._epoch_rows(b",\n")
+
+    # Each has a non-digit byte off its place; a third field then a one-field
+    # row even keeps one comma per newline.
     @pytest.mark.parametrize(
         "rows",
         [b"0,S,1\nW\n", b"0,S\n\n", b"0,S\n1,W", b"0\n,S\n", b'"0",S\n', b"0,S\r\n",
@@ -957,7 +970,22 @@ class TestChunkProof:
     )
     def test_unproven(self, rows):
         with pytest.raises(series_module._Unproven):
-            self._chunks(rows)
+            series_module._label_rows(rows, 2)
+
+    def test_missing_final_newline_refused_by_chunk_reader(self):
+        with pytest.raises(series_module._Unproven):
+            self._chunks(b"0,S\n1,W")
+
+    @pytest.mark.parametrize(
+        "rows",
+        [b'"2012-05-01T21:30:00Z",7\n', b"2012-05-01T21:30:00Z,7\r\n",
+         b"2012-05-01T21:30:00Z, 7\n", b"2012-05-01T21:30:00Z,\t7\n",
+         b"2012-05-01T21:30:00Z,\xc3\xa97\n", b"2012-05-01T21:30:00Z,7\x00\n",
+         b"2012-05-01 21:30:00Z,7\n", b"2012-05-01T21:30:00\x00,7\n"],
+    )
+    def test_epoch_unproven(self, rows):
+        with pytest.raises(series_module._Unproven):
+            series_module._epoch_rows(rows)
 
 
 def _chunk_rows(path, header: bytes) -> list[int]:

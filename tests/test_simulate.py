@@ -182,6 +182,10 @@ class TestDegenerateSpecs:
         with pytest.raises(InputError):
             SimSpec(reference_params(), 0)
 
+    def test_seed_must_be_non_negative(self):
+        with pytest.raises(InputError, match="seed"):
+            SimSpec(reference_params(), 10, seed=-1)
+
 
 class TestLargeSampleFrequencies:
     def test_transition_and_zero_frequencies(self):
