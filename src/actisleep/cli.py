@@ -15,6 +15,7 @@ empty unless ``--json`` asks for a machine-readable summary.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 from pathlib import Path
@@ -263,8 +264,9 @@ def _cmd_compare(args) -> int:
         pred_names.append(name)
 
     with open(args.out, "w", newline="") as fh:
-        fh.write(",".join(column for column, _ in report) + "\n")
-        fh.write(",".join(_fmt(value) for _, value in report) + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(column for column, _ in report)
+        writer.writerow(_fmt(value) for _, value in report)
     _log(f"wrote {args.out} ({len(pred_names)} predictor(s))")
     _emit_json(
         args,

@@ -215,38 +215,14 @@ def _checked_chunks(fh, header: bytes):
 # is its digit, and every other byte wraps to above 9.  A codec proves a
 # chunk by finding each row's non-digit bytes to be exactly its separators,
 # each in its place, so a quote, CR, space, tab, blank row, NUL or non-ASCII
-# byte fails it.  Dates go to and from days since 1970-01-01 by Hinnant's
-# days_from_civil and civil_from_days
-# (https://howardhinnant.github.io/date_algorithms.html).
+# byte fails it.  numpy's datetime64 parses the proven timestamps and splits
+# the written ones into their fields.
 
 _ZERO = np.uint8(ord("0"))
 _POW10 = 10 ** np.arange(19, dtype=np.int64)  # 1 .. 10**18
 _NUMBER_WIDTH = 19  # the digits of 2**63 - 1
 _UNIX_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _ONE_SECOND = timedelta(seconds=1)
-_MONTH_DAYS = np.zeros(100, dtype=np.int64)  # by two-digit month; 0 for no month
-_MONTH_DAYS[1:13] = (31, 29, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)  # Feb 29 is checked apart
-_MARCH_DAYS = np.zeros(100, dtype=np.int64)  # by month: days from March 1 to its first day
-_MARCH_DAYS[1:13] = (153 * ((np.arange(1, 13) + 9) % 12) + 2) // 5
-
-
-def _days_from_civil(year, month, day):
-    """Days since 1970-01-01 of proleptic Gregorian dates in years 1..9999."""
-    year = year - (month <= 2)  # a year runs from March 1, so it ends on its leap day
-    return year * 365 + year // 4 - year // 100 + year // 400 + _MARCH_DAYS[month] + day - 719469
-
-
-def _civil_from_days(days):
-    """(year, month, day) of days since 1970-01-01, for years 1..9999."""
-    z = days + 719468
-    era = z // 146097
-    doe = z - era * 146097
-    yoe = (doe - doe // 1460 + doe // 36524 - doe // 146096) // 365
-    doy = doe - (365 * yoe + yoe // 4 - yoe // 100)
-    mp = (5 * doy + 2) // 153
-    month = np.where(mp < 10, mp + 3, mp - 9)
-    return era * 400 + yoe + (month <= 2), month, doy - (153 * mp + 2) // 5 + 1
-
 
 # The one timestamp form the writer writes and the codec reads; "0" is a
 # digit.  Its two-digit fields start at _STAMP_FIELDS: century, year,
@@ -260,6 +236,10 @@ _EPOCH_MARKS = _STAMP.replace(b"0", b"") + b",\n"
 _EPOCH_GAPS = np.append(
     np.diff([-1] + [i for i, b in enumerate(_STAMP + b",") if b != ord("0")]), 0
 )
+# numpy parses a stamp's bytes before its Z (on a zone suffix it warns), and
+# it reads year 0, which datetime.fromisoformat refuses.
+_STAMP_WITHOUT_Z = np.dtype(("S", len(_STAMP) - 1))
+_YEAR_ONE = np.datetime64("0001-01-01T00:00:00", "s")
 
 
 def _digit_values(digits: np.ndarray, ends: np.ndarray, widths: np.ndarray) -> np.ndarray:
@@ -301,19 +281,16 @@ def _epoch_rows(chunk: bytes) -> tuple[np.ndarray, np.ndarray]:
     if got.tobytes() != _EPOCH_MARKS * len(got) or (steps != _EPOCH_GAPS).any():
         raise _Unproven
     starts = where[:, 0] - _EPOCH_GAPS[0] + 1
-    pairs = digits[:-1] * np.uint8(10) + digits[1:]  # the two-digit number at each digit pair
-    century, year, month, day, hour, minute, second = (
-        pairs[starts + i].astype(np.int64) for i in _STAMP_FIELDS
-    )
-    year += century * 100  # four digits and at least 1: years 1..9999
-    bad = (year < 1) | (day < 1) | (day > _MONTH_DAYS[month])
-    bad |= (hour > 23) | (minute > 59) | (second > 59)
-    leap_years = year[(month == 2) & (day == 29)]
-    bad_leap = (leap_years % 4 != 0) | ((leap_years % 100 == 0) & (leap_years % 400 != 0))
-    if bad.any() or bad_leap.any():
+    # A view of the stamp at every byte offset; each row's is taken at its start.
+    width = _STAMP_WITHOUT_Z.itemsize
+    stamps = np.ndarray((a.size - width + 1,), _STAMP_WITHOUT_Z, chunk, strides=(1,))
+    try:  # numpy refuses a month, day in its month, hour, minute or second out of range
+        seconds = stamps[starts].astype("datetime64[s]")
+    except ValueError:
+        raise _Unproven from None
+    if seconds.min() < _YEAR_ONE:
         raise _Unproven
-    seconds = _days_from_civil(year, month, day) * 86400 + hour * 3600 + minute * 60 + second
-    return seconds, _digit_values(digits, where[:, -1], widths)
+    return seconds.astype(np.int64), _digit_values(digits, where[:, -1], widths)
 
 
 def read_epoch_csv(path) -> EpochSeries:
@@ -321,13 +298,13 @@ def read_epoch_csv(path) -> EpochSeries:
 
     A one-pass reader parses the file a chunk of rows at a time
     (``_checked_chunks``), and numpy reads each chunk as bytes
-    (``_epoch_rows``): timestamps in the ``Z`` form the writer writes and
-    counts of up to 18 digits.  Every spacing must equal the first, across
-    chunk boundaries too.  Any file it cannot prove good in that way, from
-    a quoted field, a CR or a blank row to a naive or ``+HH:MM`` timestamp,
-    a wider count or a bad value, is read by the per-row scan
-    ``_scan_epoch_csv`` instead, which defines what the format accepts and
-    names the first bad row in its error.
+    (``_epoch_rows``): timestamps in the ``Z`` form the writer writes, which
+    numpy's datetime64 parses, and counts of up to 18 digits.  Every spacing
+    must equal the first, across chunk boundaries too.  Any file it cannot
+    prove good in that way, from a quoted field, a CR or a blank row to a
+    naive or ``+HH:MM`` timestamp, a wider count or a bad value, is read by
+    the per-row scan ``_scan_epoch_csv`` instead, which defines what the
+    format accepts and names the first bad row in its error.
 
     Raises FormatError for a malformed header, non-constant or unsupported
     spacing (naming the first offending row), or bad counts (negative or
@@ -471,10 +448,13 @@ def write_epoch_csv(series: EpochSeries, path) -> None:
         for lo in range(0, len(series), _WRITE_CHUNK):
             counts = series.counts[lo : lo + _WRITE_CHUNK]
             seconds = base + np.arange(lo, lo + counts.size, dtype=np.int64) * series.epoch_seconds
-            days, second = np.divmod(seconds, 86400)
-            year, month, day = _civil_from_days(days)
-            hour, second = np.divmod(second, 3600)
-            fields = (year // 100, year % 100, month, day, hour, second // 60, second % 60)
+            stamps = seconds.view("datetime64[s]")
+            days = stamps.astype("datetime64[D]")
+            months = days.astype("datetime64[M]")
+            year, month = np.divmod(months.astype(np.int64) + 1970 * 12, 12)
+            day = (days - months).astype(np.int64) + 1
+            hour, second = np.divmod((stamps - days).astype(np.int64), 3600)
+            fields = (year // 100, year % 100, month + 1, day, hour, second // 60, second % 60)
             block = np.tile(_EPOCH_ROW, (counts.size, 1))
             for i, value in zip(_STAMP_FIELDS, fields):
                 block[:, i], block[:, i + 1] = np.divmod(value, 10)

@@ -39,6 +39,12 @@ def reference_params() -> HmmParams:
     )
 
 
+def check_seed(seed: int) -> None:
+    """Raise InputError for a seed numpy's PCG64 refuses: a negative one."""
+    if seed < 0:
+        raise InputError("seed must be >= 0")
+
+
 @dataclass(frozen=True)
 class SimSpec:
     """Everything needed to reproduce one synthetic recording."""
@@ -52,8 +58,7 @@ class SimSpec:
     def __post_init__(self) -> None:
         if self.t_epochs < 1:
             raise InputError("t_epochs must be >= 1")
-        if self.seed < 0:
-            raise InputError("seed must be >= 0")
+        check_seed(self.seed)
 
 
 def _sample_states(params: HmmParams, t_epochs: int, rng: np.random.Generator) -> np.ndarray:
@@ -117,6 +122,7 @@ def simulate_from_states(
     start_time: datetime = DEFAULT_START_TIME,
 ) -> EpochSeries:
     """Sample counts for a fixed state path (e.g. a consolidated night)."""
+    check_seed(seed)
     rng = np.random.Generator(np.random.PCG64(seed))
     values = sample_log_values(states.states, params, rng)
     return EpochSeries(start_time, states.epoch_seconds, _values_to_counts(values))

@@ -20,7 +20,7 @@ from . import hmm
 from .emissions import SleepEmission, WakeEmission
 from .errors import InputError
 from .series import LogSeries, StateSequence, log_transform
-from .simulate import SimSpec, reference_params, simulate
+from .simulate import SimSpec, check_seed, reference_params, simulate
 
 FORWARD_REL_TOL = 1e-10
 POSTERIOR_TOL = 1e-10
@@ -155,6 +155,11 @@ def run_verification(
     posterior_fn=None,
     em_runs: int = 5,
 ) -> VerifyReport:
+    check_seed(seed)
+    if trials < 0:
+        raise InputError("trials must be >= 0")
+    if not 1 <= max_t <= BRUTE_FORCE_MAX_T:
+        raise InputError(f"max_t must be in [1, {BRUTE_FORCE_MAX_T}]")
     forward_fn = forward_fn or hmm.forward_log_likelihood
     viterbi_fn = viterbi_fn or hmm.viterbi
     posterior_fn = posterior_fn or hmm.posterior_marginals

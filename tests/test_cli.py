@@ -1,5 +1,6 @@
 """End-to-end CLI tests: pipeline wiring, exit codes, determinism."""
 
+import csv
 import hashlib
 import inspect
 import json
@@ -348,6 +349,26 @@ class TestCompare:
             pred.write_bytes(sim["labels"].read_bytes())
         _, names = self._compare(sim, capsys, preds)
         assert names == ["a", "a_2", "a_1"]
+
+    def test_names_with_commas_survive(self, sim, capsys):
+        epochs = sim["dir"] / "rec,a.epochs.csv"
+        epochs.write_bytes(sim["epochs"].read_bytes())
+        pred = sim["dir"] / "p,q.csv"
+        pred.write_bytes(sim["labels"].read_bytes())
+        window = sim["dir"] / "window.txt"
+        _write_window(window, read_epoch_csv(epochs), 0, 2000, 0, 1999)
+        out = sim["dir"] / "report.csv"
+        code, _, _ = _run(
+            capsys,
+            "compare", "--truth", str(sim["labels"]), "--pred", str(pred),
+            "--epochs", str(epochs), "--window", str(window), "--out", str(out),
+        )
+        assert code == 0
+        with open(out, newline="") as fh:
+            header, row = csv.reader(fh)
+        assert len(row) == len(header)
+        assert row[0] == "rec,a.epochs"
+        assert float(row[header.index("p,q_accuracy")]) == 1.0
 
     def test_length_mismatch_exits_1(self, sim, capsys):
         series = read_epoch_csv(sim["epochs"])

@@ -856,11 +856,11 @@ class TestOnePassAgreesWithRowScan:
 
 
 def _reference_epoch_text(series: EpochSeries) -> str:
-    """The f-string writer's epoch CSV: numpy-formatted UTC stamps from the truncated start."""
-    start = series.start_time.astimezone(timezone.utc).replace(tzinfo=None, microsecond=0)
-    steps = np.arange(len(series), dtype=np.int64) * series.epoch_seconds
-    stamps = np.datetime_as_string(np.datetime64(start, "s") + steps, unit="s").tolist()
-    rows = [f"{ts}Z,{count}\n" for ts, count in zip(stamps, series.counts.tolist())]
+    """The f-string writer's epoch CSV, its stamps from Python's calendar."""
+    rows = [
+        f"{format_timestamp(series.timestamp(i))},{count}\n"
+        for i, count in enumerate(series.counts.tolist())
+    ]
     return "timestamp,count\n" + "".join(rows)
 
 
@@ -927,20 +927,21 @@ class TestByteCodecWriters:
         assert back.states.tolist() == states.states.tolist()
 
     def test_calendar_matches_ordinals(self):
-        """Jan 1, Feb 28/29, Mar 1 and Dec 31 of every year from 1 to 9999."""
+        """The epoch codec reads Jan 1, Feb 28/29, Mar 1 and Dec 31 of years 1 to 9999 as
+        Python's calendar does, and refuses days it lacks."""
         dates = [
             date(year, month, day)
             for year in range(1, 10000)
             for month, day in ((1, 1), (2, 28), (2, 29), (3, 1), (12, 31))
             if day != 29 or calendar.isleap(year)
         ]
-        year, month, day = (np.array(f) for f in zip(*((d.year, d.month, d.day) for d in dates)))
+        chunk = "".join(f"{d.isoformat()}T00:00:00Z,0\n" for d in dates).encode()
+        seconds, _ = series_module._epoch_rows(chunk)
         unix_day = date(1970, 1, 1).toordinal()
-        days = np.array([d.toordinal() for d in dates]) - unix_day
-        assert np.array_equal(series_module._days_from_civil(year, month, day), days)
-        expected = [date.fromordinal(unix_day + int(n)) for n in days]
-        got = series_module._civil_from_days(days)
-        assert [date(*fields) for fields in zip(*(f.tolist() for f in got))] == expected
+        assert seconds.tolist() == [(d.toordinal() - unix_day) * 86400 for d in dates]
+        for stamp in ("2013-02-29T00:00:00", "1900-02-29T00:00:00", "0000-12-31T23:59:59"):
+            with pytest.raises(series_module._Unproven):  # no such day, or year 0
+                series_module._epoch_rows(f"{stamp}Z,0\n".encode())
 
 
 class TestChunkProof:

@@ -186,6 +186,11 @@ class TestDegenerateSpecs:
         with pytest.raises(InputError, match="seed"):
             SimSpec(reference_params(), 10, seed=-1)
 
+    def test_from_states_seed_must_be_non_negative(self):
+        states = StateSequence.from_letters("SW", 30)
+        with pytest.raises(InputError, match="seed"):
+            simulate_from_states(states, reference_params(), seed=-1)
+
 
 class TestLargeSampleFrequencies:
     def test_transition_and_zero_frequencies(self):

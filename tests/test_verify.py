@@ -5,8 +5,9 @@ import pytest
 from scipy.special import logsumexp
 
 from actisleep import hmm, run_verification
+from actisleep.errors import InputError
 from actisleep.series import StateSequence
-from actisleep.verify import _logsumexp
+from actisleep.verify import BRUTE_FORCE_MAX_T, _logsumexp
 
 
 class TestLogSumExp:
@@ -40,6 +41,24 @@ class TestCleanImplementation:
         r1 = run_verification(trials=50, max_t=10, seed=5)
         r2 = run_verification(trials=50, max_t=10, seed=5)
         assert [c.detail for c in r1.checks] == [c.detail for c in r2.checks]
+
+
+class TestArguments:
+    """Arguments the run cannot use are refused up front, not partway through."""
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"seed": -1},
+            {"trials": -1},
+            {"max_t": 0},
+            {"trials": 1, "max_t": BRUTE_FORCE_MAX_T + 1},  # one short instance would pass
+        ],
+        ids=["seed", "trials", "max_t_0", "max_t_above_oracle"],
+    )
+    def test_refused(self, kwargs):
+        with pytest.raises(InputError):
+            run_verification(**{"trials": 50, "em_runs": 0, **kwargs})
 
 
 class TestFaultInjection:
