@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import hmm, metrics, postprocess
+from . import hmm, postprocess
 from .actiwatch import AsConfig, as_score
 from .errors import ActisleepError, FormatError
 from .series import (
@@ -38,7 +38,11 @@ from .series import (
     write_label_csv,
 )
 from .simulate import DEFAULT_START_TIME, SimSpec, reference_params, simulate
-from .verify import BRUTE_FORCE_MAX_T, run_verification
+
+# metrics, verify and json load inside the subcommands that use them, so
+# a score run does not pay to import or compile them
+if TYPE_CHECKING:
+    from . import metrics
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -57,6 +61,8 @@ def _log(msg: str) -> None:
 
 def _emit_json(args, payload: dict) -> None:
     if args.json:
+        import json
+
         print(json.dumps(payload, sort_keys=True))
 
 
@@ -111,7 +117,7 @@ def _cmd_fit(args) -> int:
         log_path,
         [
             ("iterations", report.iterations),
-            ("final_log_likelihood", report.log_likelihood_trace[-1]),
+            ("final_log_likelihood", report.log_likelihood),
             ("converged", report.converged),
             ("states_swapped", report.swapped),
         ],
@@ -125,7 +131,7 @@ def _cmd_fit(args) -> int:
         {
             "command": "fit",
             "iterations": report.iterations,
-            "final_log_likelihood": report.log_likelihood_trace[-1],
+            "final_log_likelihood": report.log_likelihood,
             "converged": report.converged,
             "params": str(args.out_params),
             "log": str(log_path),
@@ -233,6 +239,8 @@ def _prediction_columns(em: metrics.EpochMetrics, sv: metrics.SleepVariables) ->
 
 
 def _cmd_compare(args) -> int:
+    from . import metrics
+
     series = read_epoch_csv(args.epochs)
     n = len(series)
     window = read_window_file(args.window, series)
@@ -280,6 +288,8 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import run_verification
+
     report = run_verification(trials=args.trials, max_t=args.max_t, seed=args.seed)
     width = max(len(c.name) for c in report.checks)
     for check in report.checks:
@@ -310,6 +320,13 @@ def _int_in(low: int, high: float = float("inf")):
         return value
 
     return int_in_range
+
+
+def _max_t(text: str) -> int:
+    """argparse type for ``verify --max-t``: 1 to the oracle's limit; others exit 3."""
+    from .verify import BRUTE_FORCE_MAX_T
+
+    return _int_in(1, BRUTE_FORCE_MAX_T)(text)
 
 
 def _epoch_seconds(text: str) -> int:
@@ -394,7 +411,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("verify", help="run brute-force oracle self-checks")
     p.add_argument("--trials", type=_int_in(0), default=200)
-    p.add_argument("--max-t", type=_int_in(1, BRUTE_FORCE_MAX_T), default=12)
+    p.add_argument("--max-t", type=_max_t, default=12)
     p.add_argument("--seed", type=_int_in(0), default=0)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify)

@@ -8,7 +8,7 @@ the expected transition counts summed over time rather than per-step
 pairwise posteriors; Viterbi runs in pure log space with ties broken
 toward sleep.  With two states, both recursions run as loops over plain
 Python floats read from and written to numpy arrays through
-``memoryview``s.
+``memoryview``s; the Viterbi traceback is integer array work.
 """
 
 from __future__ import annotations
@@ -66,9 +66,14 @@ class HmmParams:
 
 @dataclass(frozen=True)
 class FitReport:
-    """Outcome of one Baum-Welch run."""
+    """Outcome of one Baum-Welch run.
+
+    ``log_likelihood`` belongs to ``params``; ``log_likelihood_trace`` is
+    the EM trace, which a swapped fit's relabelling leaves behind.
+    """
 
     params: HmmParams
+    log_likelihood: float
     log_likelihood_trace: list[float]
     iterations: int
     converged: bool
@@ -253,9 +258,13 @@ def baum_welch(
 
     swapped = params.sleep.mu1 >= params.wake.mu2
     if swapped:
+        # the zero-inflation mass stays with sleep, so the swapped model
+        # is a different one and needs its own score
         params = _swap_states(params)
+        log_likelihood = forward_log_likelihood(obs, params)
     return FitReport(
         params=params,
+        log_likelihood=log_likelihood,
         log_likelihood_trace=trace,
         iterations=iterations,
         converged=converged,
@@ -288,15 +297,40 @@ def viterbi(obs: LogSeries, params: HmmParams) -> StateSequence:
             bp1[t] = 1
             e0 = e1
         d0, d1 = s0 + lb0[t], e0 + lb1[t]
-    path = np.empty(T, dtype=np.int8)
-    out = memoryview(path)
-    state = 1 if d1 > d0 else 0
-    out[T - 1] = state
-    bp = (bp0, bp1)
-    for t in range(T - 1, 0, -1):
-        state = bp[state][t]
-        out[t - 1] = state
-    return StateSequence(path, obs.epoch_seconds)
+    final = 1 if d1 > d0 else 0
+    del logb, lb0, lb1  # free log b: the traceback needs only the backpointers
+    return StateSequence(_traceback(backptr, final), obs.epoch_seconds)
+
+
+def _traceback(backptr: np.ndarray, final: int) -> np.ndarray:
+    """The path that follows the (2, T) ``int8`` backpointers back from ``final``.
+
+    Step t maps state[t] to state[t-1] = backptr[state[t], t].  Where the
+    two pointers agree the map is constant and fixes state[t-1] outright;
+    elsewhere state[t-1] = state[t] ^ backptr[0, t].  So each state is the
+    nearest fixed state at or after it, XORed with the swaps in between.
+    Worked in reverse epoch order r: ``swaps`` is the running parity of
+    the swaps, and ``key``, 2 r plus a fixed state's bit (0 where no state
+    is fixed), carries each fixed state on through
+    ``np.maximum.accumulate``.  ``key`` is int32, which holds 2 r for any
+    T below 2**30 epochs (1,000 years of 30 s epochs).
+    """
+    T = backptr.shape[1]
+    bp0, bp1 = backptr[0, :0:-1], backptr[1, :0:-1]  # t = T-1, ..., 1
+    swaps = np.zeros(T, dtype=np.int8)
+    np.greater(bp0, bp1, out=swaps[1:])
+    np.bitwise_xor.accumulate(swaps, out=swaps)
+    fixed = np.ones(T, dtype=bool)
+    np.equal(bp0, bp1, out=fixed[1:])
+    key = np.arange(0, 2 * T, 2, dtype=np.int32)
+    key[0] += final
+    key[1:] += bp0
+    key ^= swaps  # bit 0 holds the fixed state XOR the parity up to it
+    key *= fixed
+    np.maximum.accumulate(key, out=key)
+    key &= 1
+    key ^= swaps
+    return key[::-1].astype(np.int8)
 
 
 # The parameter file's keys, in the order write_params writes them.

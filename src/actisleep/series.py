@@ -127,17 +127,6 @@ class StateSequence:
     def __len__(self) -> int:
         return int(self.states.size)
 
-    def to_letters(self) -> list[str]:
-        return ["SW"[s] for s in self.states.tolist()]  # Sleep is 0, Wake 1
-
-    @classmethod
-    def from_letters(cls, letters, epoch_seconds: int) -> "StateSequence":
-        try:
-            states = [_LETTER_STATES[s] for s in letters]
-        except KeyError as exc:
-            raise FormatError(f"unknown state token {exc.args[0]!r}") from None
-        return cls(np.array(states, dtype=np.int8), epoch_seconds)
-
 
 @dataclass(frozen=True)
 class StudyWindow:

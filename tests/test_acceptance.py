@@ -59,6 +59,8 @@ from actisleep.series import (
 from actisleep.simulate import DEFAULT_START_TIME, _sample_states, sample_log_values
 from actisleep.verify import random_instance
 
+from state_letters import from_letters, to_letters
+
 TRUE = reference_params()
 TRUTH_EM = dict(alpha=0.731, mu1=2.486, sigma1=1.248, mu2=4.803, sigma2=0.866)
 
@@ -331,12 +333,12 @@ class TestCriterion7Normalization:
 class TestCriterion8Smoothing:
     def test_worked_examples_and_properties(self):
         # the three worked examples, exactly
-        ex1 = smooth(StateSequence.from_letters("S" * 40 + "W" * 10 + "S" * 40, 30), 15)
-        assert ex1.to_letters() == ["S"] * 90
-        ex2_in = StateSequence.from_letters("S" * 30 + "W" * 35 + "S" * 40, 30)
+        ex1 = smooth(from_letters("S" * 40 + "W" * 10 + "S" * 40, 30), 15)
+        assert to_letters(ex1) == ["S"] * 90
+        ex2_in = from_letters("S" * 30 + "W" * 35 + "S" * 40, 30)
         assert np.array_equal(smooth(ex2_in, 15).states, ex2_in.states)
-        ex3 = smooth(StateSequence.from_letters("W" * 5 + "S" * 100, 30), 15)
-        assert ex3.to_letters() == ["S"] * 105
+        ex3 = smooth(from_letters("W" * 5 + "S" * 100, 30), 15)
+        assert to_letters(ex3) == ["S"] * 105
         # properties over 1,000 random sequences
         rng = np.random.Generator(np.random.PCG64(80))
         for _ in range(1000):
@@ -377,7 +379,7 @@ class TestCriterion9AsAlgorithm:
         # counts (73% exact zeros during sleep) match the thresholds'
         # intent.  The default rescored mode is exercised in module tests.
         cfg = AsConfig(raw_thresholds=True)
-        states = StateSequence.from_letters("W" * 240 + "S" * 960 + "W" * 240, 30)
+        states = from_letters("W" * 240 + "S" * 960 + "W" * 240, 30)
         window = StudyWindow(0, 1440, 0, 1439)
         true_sleep = states.states == State.SLEEP
         jaccards = []
@@ -403,7 +405,7 @@ class TestCriterion10Metrics:
         from actisleep import sleep_variables
 
         v = sleep_variables(
-            StateSequence.from_letters("W" * 10 + "S" * 10, 30),
+            from_letters("W" * 10 + "S" * 10, 30),
             StudyWindow(0, 20, 0, 19),
         )
         assert v.total_sleep_time_min == 5.0

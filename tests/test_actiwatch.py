@@ -10,6 +10,8 @@ from actisleep.errors import ConfigError, InputError
 from actisleep.postprocess import _run_arrays
 from actisleep.series import EpochSeries, State, StudyWindow
 
+from state_letters import to_letters
+
 T0 = datetime(2020, 1, 1, tzinfo=timezone.utc)
 
 
@@ -167,7 +169,7 @@ class TestAsScore:
         result = as_score(series, StudyWindow(0, 1440, 20, 900))
         assert result.sleep_start == 20
         assert result.sleep_end == 900
-        letters = result.states.to_letters()
+        letters = to_letters(result.states)
         assert letters[:20] == ["W"] * 20
         assert letters[20:901] == ["S"] * 881
         assert letters[901:] == ["W"] * 539

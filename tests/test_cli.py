@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from actisleep import AsConfig, cli, hmm, read_epoch_csv, read_label_csv, smooth
+from actisleep import AsConfig, cli, hmm, log_transform, read_epoch_csv, read_label_csv, smooth
 from actisleep.series import format_timestamp
 
 
@@ -155,6 +155,27 @@ class TestFit:
         assert code == 3
         assert "overwrite" in err and "Traceback" not in err
         assert sorted(sim["dir"].iterdir()) == before
+
+    def test_swapped_fit_logs_the_log_likelihood_of_its_params(self, tmp_path, capsys):
+        from actisleep.series import EpochSeries, write_epoch_csv
+
+        epochs = tmp_path / "swap.epochs.csv"
+        counts = np.array([200, 2000, 20, 0, 0, 0, 0, 200, 0, 400])
+        write_epoch_csv(EpochSeries(datetime(2020, 1, 1, 22), 30, counts), epochs)
+        out_params = tmp_path / "swap.params.txt"
+        code, out, _ = _run(
+            capsys, "fit", str(epochs), "--out-params", str(out_params), "--json"
+        )
+        assert code == 0
+        log = dict(
+            line.split("=", 1) for line in (tmp_path / "swap.params.log").read_text().split()
+        )
+        assert log["states_swapped"] == "true"
+        exact = hmm.forward_log_likelihood(
+            log_transform(read_epoch_csv(epochs)), hmm.read_params(out_params)
+        )
+        assert float(log["final_log_likelihood"]) == exact
+        assert json.loads(out)["final_log_likelihood"] == exact
 
 
 class TestScore:
@@ -652,6 +673,62 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
         assert out.strip().splitlines()[-1] == "[]"
         for name in ("fit.txt", "inline.csv", "given.csv", "as.csv", "report.csv"):
             assert (tmp_path / name).exists()
+
+    def test_score_child_loads_no_metrics_verify_or_json(self, sim):
+        # metrics, verify and json load on first use (compare, verify, --json)
+        code = f"""
+import sys
+from actisleep import cli
+for argv in (
+    ["score", {str(sim["epochs"])!r}, "--out", {str(sim["dir"] / "inline.csv")!r}],
+    ["score", {str(sim["epochs"])!r}, "--params", {str(sim["params"])!r},
+     "--out", {str(sim["dir"] / "given.csv")!r}],
+):
+    assert cli.main(argv) == 0, argv
+print(sorted(m for m in ("actisleep.metrics", "actisleep.verify", "json") if m in sys.modules))
+"""
+        src = str(Path(cli.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", code], check=True, capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        ).stdout
+        assert out.strip().splitlines()[-1] == "[]"
+
+    # every name the package exported when it imported metrics and verify eagerly
+    PUBLIC_NAMES = (
+        "AsConfig AsResult as_score find_sleep_end find_sleep_start rescore "
+        "SleepEmission WakeEmission fit_sleep_weighted fit_wake_weighted "
+        "sleep_log_emission wake_log_emission FitReport HmmParams baum_welch "
+        "default_init forward_log_likelihood posterior_marginals read_params viterbi "
+        "write_params Confusion EpochMetrics SleepVariables confusion epoch_metrics "
+        "paired_t pearson_r sleep_variables smooth EpochSeries LogSeries State "
+        "StateSequence StudyWindow log_transform read_epoch_csv read_label_csv "
+        "read_window_file write_epoch_csv write_label_csv SimSpec reference_params "
+        "simulate simulate_from_states VerifyReport brute_force_likelihood "
+        "brute_force_posteriors brute_force_viterbi run_verification"
+    ).split()
+
+    def test_every_public_name_still_importable(self):
+        code = f"""
+import actisleep
+names = {self.PUBLIC_NAMES!r}
+assert sorted(actisleep.__all__) == sorted(names), sorted(set(actisleep.__all__) ^ set(names))
+namespace = {{}}
+exec("from actisleep import *", namespace)
+assert all(name in namespace for name in names)
+import actisleep.verify
+from actisleep import metrics, simulate, verify
+assert simulate is actisleep.simulate and simulate.__module__ == "actisleep.simulate"
+assert actisleep.run_verification is verify.run_verification
+assert actisleep.confusion is metrics.confusion
+print("ok")
+"""
+        src = str(Path(cli.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", code], check=True, capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        ).stdout
+        assert out.strip() == "ok"
 
 
 class TestUsageErrors:

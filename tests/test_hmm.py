@@ -314,6 +314,78 @@ class TestViterbi:
             assert logp[idx] == np.max(logp)
 
 
+def _loop_traceback(backptr, final):
+    """The per-step traceback loop ``hmm._traceback`` replaced, as its oracle."""
+    T = backptr.shape[1]
+    path = np.empty(T, dtype=np.int8)
+    state = path[T - 1] = final
+    for t in range(T - 1, 0, -1):
+        state = path[t - 1] = backptr[state, t]
+    return path
+
+
+class TestTraceback:
+    # (backptr[0, t], backptr[1, t]): constant sleep, identity, swap, constant wake
+    MAPS = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=np.int8)
+
+    def _backptr(self, maps):
+        backptr = np.zeros((2, len(maps) + 1), dtype=np.int8)
+        backptr[:, 1:] = self.MAPS[maps].T
+        return backptr
+
+    def test_every_map_sequence_up_to_six_epochs(self):
+        # T = 1 and T = 2 included: every sequence of the four step maps
+        for steps in range(6):
+            for code in range(4**steps):
+                maps = [(code >> (2 * k)) & 3 for k in range(steps)]
+                backptr = self._backptr(maps)
+                for final in (0, 1):
+                    got = hmm._traceback(backptr, final)
+                    assert got.dtype == np.int8
+                    assert np.array_equal(got, _loop_traceback(backptr, final))
+
+    @pytest.mark.parametrize("swap_share", [0.0, 0.5, 0.99, 1.0])
+    def test_random_backpointers(self, swap_share):
+        rng = np.random.Generator(np.random.PCG64(40))
+        for _ in range(50):
+            steps = int(rng.integers(0, 3000))
+            # swap maps at swap_share, the other three maps share the rest
+            maps = np.where(
+                rng.random(steps) < swap_share, 2, rng.choice([0, 1, 3], steps)
+            )
+            backptr = self._backptr(maps)
+            final = int(rng.integers(0, 2))
+            assert np.array_equal(
+                hmm._traceback(backptr, final), _loop_traceback(backptr, final)
+            )
+
+    def test_anti_persistent_chain_matches_enumeration(self, monkeypatch):
+        # a01 a10 > a00 a11: each state's best predecessor can be the other
+        # state, so swap maps occur on the decoded inputs
+        swaps = []
+        traceback = hmm._traceback
+
+        def counting(backptr, final):
+            swaps.append(int(np.sum(backptr[0] > backptr[1])))
+            return traceback(backptr, final)
+
+        monkeypatch.setattr(hmm, "_traceback", counting)
+        rng = np.random.Generator(np.random.PCG64(41))
+        for _ in range(100):
+            params = HmmParams(
+                a=np.array([[0.15, 0.85], [0.9, 0.1]]),
+                sleep=SleepEmission(alpha=0.3, mu1=1.0, sigma1=1.0),
+                wake=WakeEmission(mu2=rng.uniform(1.2, 3.0), sigma2=1.0),
+                pi=np.array([0.5, 0.5]),
+            )
+            # positive values only, so no two paths tie
+            obs = LogSeries(rng.uniform(0.1, 4.0, int(rng.integers(1, 13))), 30)
+            assert np.array_equal(
+                viterbi(obs, params).states, brute_force_viterbi(obs, params).states
+            )
+        assert sum(swaps) > 0
+
+
 def _reference_cases():
     """(name, obs, params): random, all-zero, tie-heavy and week-long inputs."""
     rng = np.random.Generator(np.random.PCG64(30))
@@ -555,6 +627,25 @@ class TestBaumWelch:
         )
         report = baum_welch(obs, flipped)
         assert report.params.sleep.mu1 < report.params.wake.mu2
+
+    def test_swapped_fit_reports_the_log_likelihood_of_its_params(self):
+        # the swap keeps alpha with sleep, so the swapped model is not the
+        # fitted one relabelled and the trace's last value is not its score
+        obs = LogSeries(np.log1p([200, 2000, 20, 0, 0, 0, 0, 200, 0, 400]), 30)
+        report = baum_welch(obs, default_init(obs))
+        assert report.swapped
+        assert report.log_likelihood == forward_log_likelihood(obs, report.params)
+        assert report.log_likelihood == pytest.approx(-18.8895, abs=1e-4)
+        assert report.log_likelihood_trace[-1] == pytest.approx(-12.9245, abs=1e-4)
+        assert np.all(np.diff(report.log_likelihood_trace) >= 0.0)
+
+    def test_unswapped_fit_reports_its_last_e_step(self):
+        series, _ = simulate(SimSpec(reference_params(), 1000, seed=25))
+        obs = log_transform(series)
+        report = baum_welch(obs, default_init(obs))
+        assert not report.swapped
+        assert report.log_likelihood == report.log_likelihood_trace[-1]
+        assert report.log_likelihood == forward_log_likelihood(obs, report.params)
 
     def test_deterministic(self):
         series, _ = simulate(SimSpec(reference_params(), 1000, seed=25))

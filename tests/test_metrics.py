@@ -16,13 +16,15 @@ from actisleep import (
 )
 from actisleep.errors import InputError, UndefinedStatisticError
 from actisleep.metrics import _t_two_sided_p
-from actisleep.series import StateSequence, StudyWindow
+from actisleep.series import StudyWindow
+
+from state_letters import from_letters
 
 mp.mp.dps = 50
 
 
 def _seq(letters, epoch_seconds=30):
-    return StateSequence.from_letters(letters, epoch_seconds)
+    return from_letters(letters, epoch_seconds)
 
 
 def _mp_pearson(x, y):

@@ -8,8 +8,10 @@ from actisleep import SimSpec, reference_params, simulate, simulate_from_states
 from actisleep.errors import InputError
 from actisleep.hmm import HmmParams
 from actisleep.emissions import ALPHA_MAX, ALPHA_MIN, SleepEmission, WakeEmission
-from actisleep.series import State, StateSequence, log_transform
+from actisleep.series import State, log_transform
 from actisleep.simulate import _sample_states, sample_log_values
+
+from state_letters import from_letters
 
 mp.mp.dps = 50
 
@@ -130,7 +132,7 @@ class TestStreamIdentity:
                 assert _sample_states(self.PARAMS[name], 1, rng)[0] == first
 
     def test_simulate_from_states_matches_reference(self):
-        states = StateSequence.from_letters("S" * 40 + "W" * 25 + "S" * 35, 30)
+        states = from_letters("S" * 40 + "W" * 25 + "S" * 35, 30)
         params = self.PARAMS["heavy_rejection"]
         series = simulate_from_states(states, params, seed=3)
         rng = np.random.Generator(np.random.PCG64(3))
@@ -154,7 +156,7 @@ class TestDeterminism:
         assert not np.array_equal(a.counts, b.counts)
 
     def test_from_states_deterministic(self):
-        states = StateSequence.from_letters("S" * 50 + "W" * 50, 30)
+        states = from_letters("S" * 50 + "W" * 50, 30)
         a = simulate_from_states(states, reference_params(), seed=3)
         b = simulate_from_states(states, reference_params(), seed=3)
         assert np.array_equal(a.counts, b.counts)
@@ -187,7 +189,7 @@ class TestDegenerateSpecs:
             SimSpec(reference_params(), 10, seed=-1)
 
     def test_from_states_seed_must_be_non_negative(self):
-        states = StateSequence.from_letters("SW", 30)
+        states = from_letters("SW", 30)
         with pytest.raises(InputError, match="seed"):
             simulate_from_states(states, reference_params(), seed=-1)
 
