@@ -9,13 +9,17 @@ self-checks.
 
 Exit codes: 0 success, 1 verification/validation failure, 2 I/O or
 format error, 3 invalid flags.  Diagnostics go to stderr; stdout stays
-empty unless ``--json`` asks for a machine-readable summary.
+empty unless ``--json`` asks for a machine-readable summary: one JSON
+object, the ``command`` name plus that subcommand's summary keys.  A run
+that fails prints no JSON, except a ``verify`` whose check fails, which
+prints its summary with ``passed: false`` and exits 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -39,8 +43,8 @@ from .series import (
 )
 from .simulate import DEFAULT_START_TIME, SimSpec, reference_params, simulate
 
-# metrics, verify and json load inside the subcommands that use them, so
-# a score run does not pay to import or compile them
+# metrics, verify and json load only where they are used (compare,
+# verify, --json), so a score run does not pay to import or compile them
 if TYPE_CHECKING:
     from . import metrics
 
@@ -55,18 +59,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+class _UsageError(Exception):
+    """A flag combination argparse cannot check; ``main`` exits 3."""
+
+
 def _log(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _emit_json(args, payload: dict) -> None:
-    if args.json:
-        import json
-
-        print(json.dumps(payload, sort_keys=True))
-
-
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> dict:
     params = hmm.read_params(args.params) if args.params else reference_params()
     spec = SimSpec(
         params=params,
@@ -84,86 +85,55 @@ def _cmd_simulate(args) -> int:
     write_label_csv(states, label_path)
     hmm.write_params(params, params_path)
     _log(f"wrote {epoch_path}, {label_path}, {params_path}")
-    _emit_json(
-        args,
-        {
-            "command": "simulate",
-            "epochs": str(epoch_path),
-            "labels": str(label_path),
-            "params": str(params_path),
-            "t_epochs": args.t,
-            "seed": args.seed,
-        },
-    )
-    return EXIT_OK
+    return {
+        "epochs": str(epoch_path),
+        "labels": str(label_path),
+        "params": str(params_path),
+        "t_epochs": args.t,
+        "seed": args.seed,
+    }
 
 
-def _cmd_fit(args) -> int:
+def _fit(args, obs) -> hmm.FitReport:
+    return hmm.baum_welch(obs, hmm.default_init(obs), tol=args.tol, max_iter=args.max_iter)
+
+
+def _cmd_fit(args) -> dict:
     params_path = Path(args.out_params)
     # with no --out-log the log goes to the params path with a .log suffix
-    if (Path(args.out_log).resolve() == params_path.resolve()) if args.out_log else (
-        params_path.suffix == ".log"
-    ):
-        _log(f"error: the fit log would overwrite the parameter file {params_path}")
-        return EXIT_USAGE
-    series = read_epoch_csv(args.epoch_csv)
-    obs = log_transform(series)
-    report = hmm.baum_welch(
-        obs, hmm.default_init(obs), tol=args.tol, max_iter=args.max_iter
-    )
-    hmm.write_params(report.params, args.out_params)
     log_path = Path(args.out_log) if args.out_log else params_path.with_suffix(".log")
-    write_key_values(
-        log_path,
-        [
-            ("iterations", report.iterations),
-            ("final_log_likelihood", report.log_likelihood),
-            ("converged", report.converged),
-            ("states_swapped", report.swapped),
-        ],
-    )
+    # realpath, unlike Path.resolve, leaves a symlink loop to the writes (exit 2)
+    if os.path.realpath(log_path) == os.path.realpath(params_path):
+        raise _UsageError(f"the fit log would overwrite the parameter file {params_path}")
+    report = _fit(args, log_transform(read_epoch_csv(args.epoch_csv)))
+    hmm.write_params(report.params, args.out_params)
+    summary = {
+        "iterations": report.iterations,
+        "final_log_likelihood": report.log_likelihood,
+        "converged": report.converged,
+        "states_swapped": report.swapped,
+    }
+    write_key_values(log_path, summary.items())
     _log(
         f"fit {args.epoch_csv}: {report.iterations} iterations, "
         f"converged={report.converged}"
     )
-    _emit_json(
-        args,
-        {
-            "command": "fit",
-            "iterations": report.iterations,
-            "final_log_likelihood": report.log_likelihood,
-            "converged": report.converged,
-            "params": str(args.out_params),
-            "log": str(log_path),
-        },
-    )
-    return EXIT_OK
+    return {**summary, "params": str(args.out_params), "log": str(log_path)}
 
 
-def _cmd_score(args) -> int:
-    series = read_epoch_csv(args.epoch_csv)
-    obs = log_transform(series)
-    if args.params:
-        params = hmm.read_params(args.params)
-    else:
-        params = hmm.baum_welch(
-            obs, hmm.default_init(obs), tol=args.tol, max_iter=args.max_iter
-        ).params
+def _cmd_score(args) -> dict:
+    obs = log_transform(read_epoch_csv(args.epoch_csv))
+    params = hmm.read_params(args.params) if args.params else _fit(args, obs).params
     decoded = hmm.viterbi(obs, params)
     if args.min_minutes > 0:
         decoded = postprocess.smooth(decoded, args.min_minutes)
     write_label_csv(decoded, args.out)
     _log(f"wrote {args.out} ({len(decoded)} epochs)")
-    _emit_json(
-        args,
-        {
-            "command": "score",
-            "labels": str(args.out),
-            "epochs": len(decoded),
-            "sleep_epochs": int(np.sum(decoded.states == 0)),
-        },
-    )
-    return EXIT_OK
+    return {
+        "labels": str(args.out),
+        "epochs": len(decoded),
+        "sleep_epochs": int(np.sum(decoded.states == 0)),
+    }
 
 
 def _as_config(args) -> AsConfig:
@@ -177,7 +147,7 @@ def _as_config(args) -> AsConfig:
     )
 
 
-def _cmd_as_score(args) -> int:
+def _cmd_as_score(args) -> dict:
     series = read_epoch_csv(args.epoch_csv)
     window = read_window_file(args.window, series)
     result = as_score(series, window, _as_config(args))
@@ -195,17 +165,12 @@ def _cmd_as_score(args) -> int:
         f"wrote {args.out}; sleep_start={result.sleep_start} "
         f"sleep_end={result.sleep_end} fallback={result.all_wake_fallback}"
     )
-    _emit_json(
-        args,
-        {
-            "command": "as-score",
-            "labels": str(args.out),
-            "sleep_start": result.sleep_start,
-            "sleep_end": result.sleep_end,
-            "all_wake_fallback": result.all_wake_fallback,
-        },
-    )
-    return EXIT_OK
+    return {
+        "labels": str(args.out),
+        "sleep_start": result.sleep_start,
+        "sleep_end": result.sleep_end,
+        "all_wake_fallback": result.all_wake_fallback,
+    }
 
 
 def _fmt(value) -> str:
@@ -238,7 +203,7 @@ def _prediction_columns(em: metrics.EpochMetrics, sv: metrics.SleepVariables) ->
     }
 
 
-def _cmd_compare(args) -> int:
+def _cmd_compare(args) -> dict:
     from . import metrics
 
     series = read_epoch_csv(args.epochs)
@@ -276,18 +241,10 @@ def _cmd_compare(args) -> int:
         writer.writerow(column for column, _ in report)
         writer.writerow(_fmt(value) for _, value in report)
     _log(f"wrote {args.out} ({len(pred_names)} predictor(s))")
-    _emit_json(
-        args,
-        {
-            "command": "compare",
-            "report": str(args.out),
-            "predictors": pred_names,
-        },
-    )
-    return EXIT_OK
+    return {"report": str(args.out), "predictors": pred_names}
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> dict:
     from .verify import run_verification
 
     report = run_verification(trials=args.trials, max_t=args.max_t, seed=args.seed)
@@ -295,19 +252,13 @@ def _cmd_verify(args) -> int:
     for check in report.checks:
         status = "PASS" if check.passed else "FAIL"
         _log(f"{check.name:<{width}}  {status}  {check.detail}")
-    _emit_json(
-        args,
-        {
-            "command": "verify",
-            "seed": report.seed,
-            "passed": report.passed,
-            "checks": [
-                {"name": c.name, "passed": c.passed, "detail": c.detail}
-                for c in report.checks
-            ],
-        },
-    )
-    return EXIT_OK if report.passed else EXIT_VALIDATION
+    return {
+        "seed": report.seed,
+        "passed": report.passed,
+        "checks": [
+            {"name": c.name, "passed": c.passed, "detail": c.detail} for c in report.checks
+        ],
+    }
 
 
 def _int_in(low: int, high: float = float("inf")):
@@ -355,38 +306,41 @@ def _finite_float(low: float, *, inclusive: bool = False):
 def build_parser() -> _Parser:
     parser = _Parser(prog="actisleep", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    # flags shared by several subcommands, each defined once
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument(
+        "--json", action="store_true", help="print a JSON summary of the run on stdout"
+    )
+    em = argparse.ArgumentParser(add_help=False)
+    em.add_argument("--tol", type=_finite_float(0), default=hmm.DEFAULT_TOL)
+    em.add_argument("--max-iter", type=_int_in(0), default=hmm.DEFAULT_MAX_ITER)
 
-    p = sub.add_parser("simulate", help="write a synthetic recording with truth labels")
+    def command(name, func, help_text, *parents):
+        p = sub.add_parser(name, parents=[output, *parents], help=help_text)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("simulate", _cmd_simulate, "write a synthetic recording with truth labels")
     p.add_argument("--params", help="parameter file (default: reference parameters)")
     p.add_argument("--t", type=_int_in(2), default=2880, help="number of epochs")
     p.add_argument("--epoch-seconds", type=_epoch_seconds, default=30)
     p.add_argument("--seed", type=_int_in(0), default=0)
     p.add_argument("--start", help="ISO-8601 start timestamp")
     p.add_argument("--out-prefix", required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("fit", help="fit HMM parameters to an epoch CSV")
+    p = command("fit", _cmd_fit, "fit HMM parameters to an epoch CSV", em)
     p.add_argument("epoch_csv")
     p.add_argument("--out-params", required=True)
     p.add_argument("--out-log", help="fit log path (default: params path with .log)")
-    p.add_argument("--tol", type=_finite_float(0), default=hmm.DEFAULT_TOL)
-    p.add_argument("--max-iter", type=_int_in(0), default=hmm.DEFAULT_MAX_ITER)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_fit)
 
-    p = sub.add_parser("score", help="decode sleep/wake labels (Viterbi + smoothing)")
+    p = command("score", _cmd_score, "decode sleep/wake labels (Viterbi + smoothing)", em)
     p.add_argument("epoch_csv")
     p.add_argument("--params", help="parameter file; omitted = fit inline")
     p.add_argument("--out", required=True)
     minutes = _finite_float(0, inclusive=True)
     p.add_argument("--min-minutes", type=minutes, default=postprocess.DEFAULT_MIN_MINUTES)
-    p.add_argument("--tol", type=_finite_float(0), default=hmm.DEFAULT_TOL)
-    p.add_argument("--max-iter", type=_int_in(0), default=hmm.DEFAULT_MAX_ITER)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_score)
 
-    p = sub.add_parser("as-score", help="threshold-based comparator scoring")
+    p = command("as-score", _cmd_as_score, "threshold-based comparator scoring")
     p.add_argument("epoch_csv")
     p.add_argument("--window", required=True, help="window sidecar file")
     p.add_argument("--out", required=True)
@@ -397,38 +351,39 @@ def build_parser() -> _Parser:
     p.add_argument("--end-window-min", type=positive, default=d.end_window_minutes)
     p.add_argument("--end-tolerance-epochs", type=_int_in(0), default=d.end_tolerance_epochs)
     p.add_argument("--as-raw-thresholds", action="store_true")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_as_score)
 
-    p = sub.add_parser("compare", help="evaluate predictions against reference labels")
+    p = command("compare", _cmd_compare, "evaluate predictions against reference labels")
     p.add_argument("--truth", required=True)
     p.add_argument("--pred", action="append", required=True)
     p.add_argument("--epochs", required=True, help="epoch CSV (timing and length)")
     p.add_argument("--window", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_compare)
 
-    p = sub.add_parser("verify", help="run brute-force oracle self-checks")
+    p = command("verify", _cmd_verify, "run brute-force oracle self-checks")
     p.add_argument("--trials", type=_int_in(0), default=200)
     p.add_argument("--max-t", type=_max_t, default=12)
     p.add_argument("--seed", type=_int_in(0), default=0)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_verify)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        payload = args.func(args)
+    except _UsageError as exc:
+        _log(f"error: {exc}")
+        return EXIT_USAGE
     except (FormatError, OSError) as exc:
         _log(f"error: {exc}")
         return EXIT_IO
     except ActisleepError as exc:
         _log(f"error: {exc}")
         return EXIT_VALIDATION
+    if args.json:
+        import json
+
+        print(json.dumps({"command": args.command, **payload}, sort_keys=True))
+    return EXIT_OK if payload.get("passed", True) else EXIT_VALIDATION
 
 
 if __name__ == "__main__":

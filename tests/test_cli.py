@@ -156,6 +156,18 @@ class TestFit:
         assert "overwrite" in err and "Traceback" not in err
         assert sorted(sim["dir"].iterdir()) == before
 
+    @pytest.mark.parametrize("flags", [[], ["--out-log", "{d}/loop/fit.log"]])
+    def test_params_path_in_a_symlink_loop_exits_2(self, sim, capsys, flags):
+        loop = sim["dir"] / "loop"
+        loop.symlink_to(sim["dir"] / "back")
+        (sim["dir"] / "back").symlink_to(loop)
+        flags = [f.format(d=sim["dir"]) for f in flags]
+        code, _, err = _run(
+            capsys, "fit", str(sim["epochs"]), "--out-params", str(loop / "fit.txt"), *flags
+        )
+        assert code == 2
+        assert "Too many levels of symbolic links" in err and "Traceback" not in err
+
     def test_swapped_fit_logs_the_log_likelihood_of_its_params(self, tmp_path, capsys):
         from actisleep.series import EpochSeries, write_epoch_csv
 
@@ -175,7 +187,10 @@ class TestFit:
             log_transform(read_epoch_csv(epochs)), hmm.read_params(out_params)
         )
         assert float(log["final_log_likelihood"]) == exact
-        assert json.loads(out)["final_log_likelihood"] == exact
+        # --json reports the same summary as the log
+        payload = json.loads(out)
+        assert payload["states_swapped"] is True
+        assert payload["final_log_likelihood"] == float(log["final_log_likelihood"])
 
 
 class TestScore:
@@ -475,6 +490,82 @@ class TestVerify:
         )
         code, _, err = _run(capsys, "verify", "--trials", "30")
         assert code == 1
+        assert "FAIL" in err
+
+
+class TestJson:
+    """``--json``: one object on stdout after a run that succeeds, none after a failure."""
+
+    KEYS = {
+        "simulate": {"epochs", "labels", "params", "t_epochs", "seed"},
+        "fit": {
+            "iterations", "final_log_likelihood", "converged", "states_swapped", "params", "log",
+        },
+        "score": {"labels", "epochs", "sleep_epochs"},
+        "as-score": {"labels", "sleep_start", "sleep_end", "all_wake_fallback"},
+        "compare": {"report", "predictors"},
+        "verify": {"seed", "passed", "checks"},
+    }
+
+    @staticmethod
+    def _argv(sim, name):
+        d = sim["dir"]
+        window = d / "window.txt"
+        _write_window(window, read_epoch_csv(sim["epochs"]), 0, 2000, 0, 1999)
+        epochs = str(sim["epochs"])
+        return {
+            "simulate": ["simulate", "--t", "100", "--out-prefix", str(d / "new")],
+            "fit": ["fit", epochs, "--out-params", str(d / "fit.txt")],
+            "score": ["score", epochs, "--params", str(sim["params"]), "--out", str(d / "p.csv")],
+            "as-score": ["as-score", epochs, "--window", str(window), "--out", str(d / "as.csv")],
+            "compare": [
+                "compare", "--truth", str(sim["labels"]), "--pred", str(sim["labels"]),
+                "--epochs", epochs, "--window", str(window), "--out", str(d / "report.csv"),
+            ],
+            "verify": ["verify", "--trials", "5"],
+            # failures: a window under one epoch (1), a missing epoch CSV (2)
+            # and a fit log that would overwrite the params file (3)
+            "bad-window": [
+                "as-score", epochs, "--window", str(window), "--out", str(d / "as.csv"),
+                "--start-window-min", "0.2", "--end-window-min", "0.2",
+            ],
+            "missing-csv": ["score", str(d / "nope.csv"), "--out", str(d / "p.csv")],
+            "overwrite": ["fit", epochs, "--out-params", str(d / "fit.log")],
+        }[name]
+
+    @pytest.mark.parametrize("command", list(KEYS))
+    def test_payload_keys(self, sim, capsys, command):
+        code, out, _ = _run(capsys, *self._argv(sim, command), "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload.pop("command") == command
+        assert set(payload) == self.KEYS[command]
+
+    @pytest.mark.parametrize(
+        "name, expected", [("bad-window", 1), ("missing-csv", 2), ("overwrite", 3)]
+    )
+    def test_failed_run_prints_no_json(self, sim, capsys, name, expected):
+        code, out, err = _run(capsys, *self._argv(sim, name), "--json")
+        assert code == expected
+        assert out == ""
+        assert "error:" in err
+
+    def test_failed_verify_prints_its_json_and_exits_1(self, capsys, monkeypatch):
+        from actisleep import verify
+
+        check = verify.CheckResult("forward vs enumeration", False, "worst rel err 1.0")
+        report = verify.VerifyReport(seed=4, checks=[check])
+        monkeypatch.setattr(verify, "run_verification", lambda **kwargs: report)
+        code, out, err = _run(capsys, "verify", "--json")
+        assert code == 1
+        assert json.loads(out) == {
+            "command": "verify",
+            "seed": 4,
+            "passed": False,
+            "checks": [
+                {"name": "forward vs enumeration", "passed": False, "detail": "worst rel err 1.0"}
+            ],
+        }
         assert "FAIL" in err
 
 
