@@ -26,6 +26,9 @@ from .errors import ConfigError, InputError
 from .series import EpochSeries, State, StateSequence, StudyWindow
 
 _SUPPORTED_EPOCH_SECONDS = (15, 30, 60, 120)
+# far longer than any recording, so a window or tolerance capped to it acts
+# the same as it would uncapped, and a huge one still counts to finite epochs
+_MAX_SPAN_SECONDS = 1e15
 
 
 @dataclass(frozen=True)
@@ -94,7 +97,7 @@ def _per_epoch_threshold(cpm: float, epoch_seconds: int) -> float:
 
 def _window_epochs(minutes: float, epoch_seconds: int) -> int:
     """Block length in epochs; an empty block would qualify trivially."""
-    window = round(minutes * 60.0 / epoch_seconds)
+    window = round(min(minutes * 60.0, _MAX_SPAN_SECONDS) / epoch_seconds)
     if window < 1:
         raise ConfigError(
             f"a {minutes:g}-minute window rounds to no {epoch_seconds} s epoch"
@@ -113,7 +116,7 @@ def find_sleep_start(
     """
     scores = np.asarray(scores, dtype=np.float64)
     window = _window_epochs(cfg.start_window_minutes, epoch_seconds)
-    tolerance = int(cfg.start_tolerance_minutes * 60.0 // epoch_seconds)
+    tolerance = int(min(cfg.start_tolerance_minutes * 60.0, _MAX_SPAN_SECONDS) // epoch_seconds)
     threshold = _per_epoch_threshold(cfg.immobility_start_cpm, epoch_seconds)
     if go_to_bed < 0 or go_to_bed >= scores.size:
         raise InputError("go_to_bed outside series bounds")

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
 from pathlib import Path
@@ -78,20 +79,16 @@ def _cmd_simulate(args) -> dict:
     )
     series, states = simulate(spec)
     prefix = Path(args.out_prefix)
-    epoch_path = prefix.with_name(prefix.name + ".epochs.csv")
-    label_path = prefix.with_name(prefix.name + ".labels.csv")
-    params_path = prefix.with_name(prefix.name + ".params.txt")
-    write_epoch_csv(series, epoch_path)
-    write_label_csv(states, label_path)
-    hmm.write_params(params, params_path)
-    _log(f"wrote {epoch_path}, {label_path}, {params_path}")
-    return {
-        "epochs": str(epoch_path),
-        "labels": str(label_path),
-        "params": str(params_path),
-        "t_epochs": args.t,
-        "seed": args.seed,
+    # JSON key -> output path; each file is named <prefix>.<key><extension>
+    paths = {
+        key: str(prefix.with_name(f"{prefix.name}.{key}{extension}"))
+        for key, extension in (("epochs", ".csv"), ("labels", ".csv"), ("params", ".txt"))
     }
+    write_epoch_csv(series, paths["epochs"])
+    write_label_csv(states, paths["labels"])
+    hmm.write_params(params, paths["params"])
+    _log(f"wrote {', '.join(paths.values())}")
+    return {**paths, "t_epochs": args.t, "seed": args.seed}
 
 
 def _fit(args, obs) -> hmm.FitReport:
@@ -152,25 +149,14 @@ def _cmd_as_score(args) -> dict:
     window = read_window_file(args.window, series)
     result = as_score(series, window, _as_config(args))
     write_label_csv(result.states, args.out)
-    diag_path = Path(str(args.out) + ".diag")
-    write_key_values(
-        diag_path,
-        [
-            ("sleep_start", result.sleep_start),
-            ("sleep_end", result.sleep_end),
-            ("all_wake_fallback", result.all_wake_fallback),
-        ],
-    )
-    _log(
-        f"wrote {args.out}; sleep_start={result.sleep_start} "
-        f"sleep_end={result.sleep_end} fallback={result.all_wake_fallback}"
-    )
-    return {
-        "labels": str(args.out),
+    summary = {
         "sleep_start": result.sleep_start,
         "sleep_end": result.sleep_end,
         "all_wake_fallback": result.all_wake_fallback,
     }
+    write_key_values(Path(str(args.out) + ".diag"), summary.items())
+    _log(f"wrote {args.out}; " + " ".join(f"{key}={value}" for key, value in summary.items()))
+    return {"labels": str(args.out), **summary}
 
 
 def _fmt(value) -> str:
@@ -181,6 +167,16 @@ def _fmt(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return format(float(value), ".12g")
+
+
+def _sleep_columns(sv: metrics.SleepVariables) -> dict:
+    """The four sleep-variable columns, in report order: column name -> value."""
+    return {
+        "tst_min": sv.total_sleep_time_min,
+        "latency_min": sv.sleep_latency_min,
+        "waso_min": sv.waso_min,
+        "efficiency_pct": sv.sleep_efficiency_pct,
+    }
 
 
 def _prediction_columns(em: metrics.EpochMetrics, sv: metrics.SleepVariables) -> dict:
@@ -196,10 +192,7 @@ def _prediction_columns(em: metrics.EpochMetrics, sv: metrics.SleepVariables) ->
         "fn_sleep": c.fn_sleep,
         "fp_sleep": c.fp_sleep,
         "tn_sleep": c.tn_sleep,
-        "tst_min": sv.total_sleep_time_min,
-        "latency_min": sv.sleep_latency_min,
-        "waso_min": sv.waso_min,
-        "efficiency_pct": sv.sleep_efficiency_pct,
+        **_sleep_columns(sv),
     }
 
 
@@ -214,10 +207,7 @@ def _cmd_compare(args) -> dict:
     report = [
         ("recording", Path(args.epochs).stem),
         ("total_epochs_min", truth_sv.total_epochs_min),
-        ("truth_tst_min", truth_sv.total_sleep_time_min),
-        ("truth_latency_min", truth_sv.sleep_latency_min),
-        ("truth_waso_min", truth_sv.waso_min),
-        ("truth_efficiency_pct", truth_sv.sleep_efficiency_pct),
+        *((f"truth_{column}", value) for column, value in _sleep_columns(truth_sv).items()),
     ]
     pred_names: list[str] = []
     for pred_path in args.pred:
@@ -261,23 +251,27 @@ def _cmd_verify(args) -> dict:
     }
 
 
-def _int_in(low: int, high: float = float("inf")):
-    """argparse type: an integer in [low, high]; others exit 3 as bad flags."""
+def _in_range(convert, low, high=math.inf, *, open_low=False):
+    """argparse type: a finite ``convert(text)`` in [low, high], or in
+    (low, high] if ``open_low``; others, NaN and inf too, exit 3 as bad flags."""
+    interval = f"{'(' if open_low else '['}{low}, {high}{']' if high < math.inf else ')'}"
 
-    def int_in_range(text: str) -> int:
-        value = int(text)
-        if not low <= value <= high:
-            raise argparse.ArgumentTypeError(f"{value} is not in [{low}, {high}]")
+    def in_range(text: str):
+        value = convert(text)
+        above = low < value if open_low else low <= value  # false for NaN
+        if not (above and value <= high and value < math.inf):
+            raise argparse.ArgumentTypeError(f"{value} is not in {interval}")
         return value
 
-    return int_in_range
+    in_range.__name__ = convert.__name__  # argparse names a failed conversion by it
+    return in_range
 
 
 def _max_t(text: str) -> int:
     """argparse type for ``verify --max-t``: 1 to the oracle's limit; others exit 3."""
     from .verify import BRUTE_FORCE_MAX_T
 
-    return _int_in(1, BRUTE_FORCE_MAX_T)(text)
+    return _in_range(int, 1, BRUTE_FORCE_MAX_T)(text)
 
 
 def _epoch_seconds(text: str) -> int:
@@ -286,21 +280,6 @@ def _epoch_seconds(text: str) -> int:
     if not _valid_epoch_seconds(value):
         raise argparse.ArgumentTypeError(f"{value}: {_SUPPORTED_EPOCH_SECONDS_MSG}")
     return value
-
-
-def _finite_float(low: float, *, inclusive: bool = False):
-    """argparse type: a finite float above ``low`` (or equal to it if
-    ``inclusive``); others exit 3 as bad flags."""
-
-    def finite_float(text: str) -> float:
-        value = float(text)
-        above = low <= value if inclusive else low < value  # false for NaN
-        if not (above and value < float("inf")):
-            relation = ">=" if inclusive else ">"
-            raise argparse.ArgumentTypeError(f"{value} is not finite and {relation} {low:g}")
-        return value
-
-    return finite_float
 
 
 def build_parser() -> _Parser:
@@ -312,8 +291,9 @@ def build_parser() -> _Parser:
         "--json", action="store_true", help="print a JSON summary of the run on stdout"
     )
     em = argparse.ArgumentParser(add_help=False)
-    em.add_argument("--tol", type=_finite_float(0), default=hmm.DEFAULT_TOL)
-    em.add_argument("--max-iter", type=_int_in(0), default=hmm.DEFAULT_MAX_ITER)
+    count, positive = _in_range(int, 0), _in_range(float, 0, open_low=True)
+    em.add_argument("--tol", type=positive, default=hmm.DEFAULT_TOL)
+    em.add_argument("--max-iter", type=count, default=hmm.DEFAULT_MAX_ITER)
 
     def command(name, func, help_text, *parents):
         p = sub.add_parser(name, parents=[output, *parents], help=help_text)
@@ -322,9 +302,9 @@ def build_parser() -> _Parser:
 
     p = command("simulate", _cmd_simulate, "write a synthetic recording with truth labels")
     p.add_argument("--params", help="parameter file (default: reference parameters)")
-    p.add_argument("--t", type=_int_in(2), default=2880, help="number of epochs")
+    p.add_argument("--t", type=_in_range(int, 2), default=2880, help="number of epochs")
     p.add_argument("--epoch-seconds", type=_epoch_seconds, default=30)
-    p.add_argument("--seed", type=_int_in(0), default=0)
+    p.add_argument("--seed", type=count, default=0)
     p.add_argument("--start", help="ISO-8601 start timestamp")
     p.add_argument("--out-prefix", required=True)
 
@@ -337,19 +317,19 @@ def build_parser() -> _Parser:
     p.add_argument("epoch_csv")
     p.add_argument("--params", help="parameter file; omitted = fit inline")
     p.add_argument("--out", required=True)
-    minutes = _finite_float(0, inclusive=True)
+    minutes = _in_range(float, 0)
     p.add_argument("--min-minutes", type=minutes, default=postprocess.DEFAULT_MIN_MINUTES)
 
     p = command("as-score", _cmd_as_score, "threshold-based comparator scoring")
     p.add_argument("epoch_csv")
     p.add_argument("--window", required=True, help="window sidecar file")
     p.add_argument("--out", required=True)
-    d, positive = AsConfig(), _finite_float(0)
+    d = AsConfig()
     p.add_argument("--immobility-start-cpm", type=positive, default=d.immobility_start_cpm)
     p.add_argument("--immobility-end-cpm", type=positive, default=d.immobility_end_cpm)
     p.add_argument("--start-window-min", type=positive, default=d.start_window_minutes)
     p.add_argument("--end-window-min", type=positive, default=d.end_window_minutes)
-    p.add_argument("--end-tolerance-epochs", type=_int_in(0), default=d.end_tolerance_epochs)
+    p.add_argument("--end-tolerance-epochs", type=count, default=d.end_tolerance_epochs)
     p.add_argument("--as-raw-thresholds", action="store_true")
 
     p = command("compare", _cmd_compare, "evaluate predictions against reference labels")
@@ -360,9 +340,9 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
 
     p = command("verify", _cmd_verify, "run brute-force oracle self-checks")
-    p.add_argument("--trials", type=_int_in(0), default=200)
+    p.add_argument("--trials", type=count, default=200)
     p.add_argument("--max-t", type=_max_t, default=12)
-    p.add_argument("--seed", type=_int_in(0), default=0)
+    p.add_argument("--seed", type=count, default=0)
     return parser
 
 

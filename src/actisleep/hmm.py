@@ -164,6 +164,19 @@ def forward_log_likelihood(obs: LogSeries, params: HmmParams) -> float:
     return log_likelihood
 
 
+def _log_space_log_likelihood(obs: LogSeries, params: HmmParams) -> float:
+    """log P(observations | params) by the forward recursion in log space.
+
+    Slower than the scaled pass, but an exact 0 in ``pi`` or ``a`` that
+    leaves only a state whose density underflows still scores finitely.
+    """
+    logb, log_a, log_pi = log_terms(obs, params)
+    delta = log_pi + logb[:, 0]
+    for t in range(1, logb.shape[1]):
+        delta = np.logaddexp(delta[0] + log_a[0], delta[1] + log_a[1]) + logb[:, t]
+    return float(np.logaddexp(delta[0], delta[1]))
+
+
 def posterior_marginals(obs: LogSeries, params: HmmParams) -> np.ndarray:
     """(T, 2) per-epoch state posteriors given the full observation sequence."""
     _, gamma, _ = _forward_backward(obs, params)
@@ -261,7 +274,10 @@ def baum_welch(
         # the zero-inflation mass stays with sleep, so the swapped model
         # is a different one and needs its own score
         params = _swap_states(params)
-        log_likelihood = forward_log_likelihood(obs, params)
+        try:
+            log_likelihood = forward_log_likelihood(obs, params)
+        except InputError:  # the scaled pass underflowed to a zero scale
+            log_likelihood = _log_space_log_likelihood(obs, params)
     return FitReport(
         params=params,
         log_likelihood=log_likelihood,

@@ -84,6 +84,13 @@ class TestFindSleepStart:
         scores = np.full(40, 2.0)
         assert find_sleep_start(scores, 30, 0, AsConfig()) == 0
 
+    def test_huge_tolerance_acts_like_one_longer_than_the_recording(self):
+        # 60 x 1e308 overflows to inf, and inf // 30 is NaN
+        scores = np.array([0.0, 50.0] * 30)
+        longer = find_sleep_start(scores, 30, 3, AsConfig(start_tolerance_minutes=1e6))
+        assert longer == 3
+        assert find_sleep_start(scores, 30, 3, AsConfig(start_tolerance_minutes=1e308)) == longer
+
 
 class TestFindSleepEnd:
     def test_all_quiet_returns_get_up(self):
@@ -138,6 +145,13 @@ class TestWindowLength:
         scores = np.array([9.0, 0.0, 9.0, 0.0, 9.0])
         assert find_sleep_start(scores, 30, 0, cfg) == 1
         assert find_sleep_end(scores, 30, 4, cfg) == 3
+
+    @pytest.mark.parametrize("field", ["start_window_minutes", "end_window_minutes"])
+    def test_huge_window_acts_like_one_longer_than_the_recording(self, field):
+        series = _series(np.zeros(2880, dtype=np.int64), 30)
+        result = as_score(series, StudyWindow(0, 2880, 0, 2879), AsConfig(**{field: 1e308}))
+        assert result.all_wake_fallback
+        assert not np.any(result.states.states == State.SLEEP)
 
 
 class TestAsScore:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from actisleep import AsConfig, cli, hmm, log_transform, read_epoch_csv, read_label_csv, smooth
-from actisleep.series import format_timestamp
+from actisleep.series import format_timestamp, read_key_values
 
 
 def _run(capsys, *argv):
@@ -192,6 +192,31 @@ class TestFit:
         assert payload["states_swapped"] is True
         assert payload["final_log_likelihood"] == float(log["final_log_likelihood"])
 
+    def test_swapped_fit_whose_scaled_rescore_underflows_exits_0(self, tmp_path, capsys):
+        # the swapped parameters leave only a state whose density underflows,
+        # so the fit scores them in log space instead of failing
+        from actisleep.series import EpochSeries, write_epoch_csv
+
+        epochs = tmp_path / "swap.epochs.csv"
+        counts = np.array([0, 0, 0, 1, 2, 0, 1, 2, 0, 2])
+        write_epoch_csv(EpochSeries(datetime(2020, 1, 1, 22), 30, counts), epochs)
+        out_params = tmp_path / "swap.params.txt"
+        code, out, _ = _run(
+            capsys, "fit", str(epochs), "--out-params", str(out_params), "--json"
+        )
+        assert code == 0
+        log = dict(
+            line.split("=", 1) for line in (tmp_path / "swap.params.log").read_text().split()
+        )
+        payload = json.loads(out)
+        assert payload["states_swapped"] is True and log["states_swapped"] == "true"
+        assert payload["final_log_likelihood"] == float(log["final_log_likelihood"])
+        code, out, _ = _run(
+            capsys, "score", str(epochs), "--out", str(tmp_path / "labels.csv"), "--json"
+        )
+        assert code == 0
+        assert json.loads(out)["epochs"] == 10
+
 
 class TestScore:
     def test_inline_fit_equals_two_step(self, sim, capsys):
@@ -302,6 +327,41 @@ class TestAsScore:
         diag = (sim["dir"] / "as.csv.diag").read_text()
         assert "sleep_start=" in diag
         assert "all_wake_fallback=" in diag
+
+    def test_json_reports_the_diag_values(self, sim, capsys):
+        series = read_epoch_csv(sim["epochs"])
+        window = sim["dir"] / "window.txt"
+        _write_window(window, series, 0, 2000, 0, 1999)
+        out = sim["dir"] / "as.csv"
+        code, stdout, _ = _run(
+            capsys,
+            "as-score", str(sim["epochs"]), "--window", str(window),
+            "--out", str(out), "--json",
+        )
+        assert code == 0
+        payload = json.loads(stdout)
+        keys = ("sleep_start", "sleep_end", "all_wake_fallback")
+        diag = read_key_values(
+            sim["dir"] / "as.csv.diag", keys, lambda raw: None if raw == "None" else json.loads(raw)
+        )
+        assert diag == {key: payload[key] for key in keys}
+        assert payload["sleep_start"] is not None
+
+    @pytest.mark.parametrize("flag", ["--start-window-min", "--end-window-min"])
+    def test_huge_finite_window_falls_back_to_all_wake(self, sim, capsys, flag):
+        # 60 x 1e308 overflows to inf; a window that long finds no block
+        series = read_epoch_csv(sim["epochs"])
+        window = sim["dir"] / "window.txt"
+        _write_window(window, series, 0, 2000, 0, 1999)
+        out = sim["dir"] / "as.csv"
+        code, stdout, err = _run(
+            capsys,
+            "as-score", str(sim["epochs"]), "--window", str(window),
+            "--out", str(out), flag, "1e308", "--json",
+        )
+        assert code == 0, err
+        assert json.loads(stdout)["all_wake_fallback"] is True
+        assert not np.any(read_label_csv(out, 2000).states == 0)
 
     def test_flag_defaults_are_the_library_defaults(self):
         parser = cli.build_parser()
@@ -855,6 +915,20 @@ class TestUsageErrors:
         )
         assert code == 3
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(["verify", "--max-t", "17"], "17 is not in [1, 16]"),
+         (["verify", "--seed", "-1"], "-1 is not in [0, inf)"),
+         (["fit", "rec.csv", "--out-params", "p", "--tol", "nan"], "nan is not in (0, inf)"),
+         (["score", "rec.csv", "--out", "o", "--min-minutes", "inf"], "inf is not in [0, inf)"),
+         (["as-score", "rec.csv", "--window", "w", "--out", "o", "--immobility-start-cpm", "0"],
+          "0.0 is not in (0, inf)")],
+    )
+    def test_range_error_names_the_interval(self, capsys, argv, message):
+        code, _, err = _run(capsys, *argv)
+        assert code == 3
+        assert message in err
 
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_simulate_t_below_one_exits_3(self, tmp_path, capsys, value):

@@ -4,6 +4,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from actisleep import (
     HmmParams,
@@ -19,6 +21,7 @@ from actisleep import (
     forward_log_likelihood,
     posterior_marginals,
     read_params,
+    smooth,
     viterbi,
     write_params,
 )
@@ -32,7 +35,17 @@ from actisleep.errors import InputError
 from actisleep.hmm import _forward_backward
 from actisleep.series import LogSeries, StateSequence, log_transform
 from actisleep.simulate import SimSpec, reference_params, simulate
-from actisleep.verify import random_instance
+from actisleep.verify import BRUTE_FORCE_MAX_T, FORWARD_REL_TOL, random_instance
+
+# default_init's fit swaps, and the swapped pi and a hold exact zeros that
+# leave only a state whose density underflows: the scaled re-score divides
+# by a zero scale, although the likelihood is finite
+SWAP_UNDERFLOW_COUNTS = [0, 0, 0, 1, 2, 0, 1, 2, 0, 2]
+
+
+def _all_finite(p):
+    values = [*p.a.ravel(), *p.pi, *vars(p.sleep).values(), *vars(p.wake).values()]
+    return bool(np.all(np.isfinite(values)))
 
 
 def _sym_params(mu=2.0, sigma=1.0, alpha=1e-300):
@@ -647,6 +660,18 @@ class TestBaumWelch:
         assert report.log_likelihood == report.log_likelihood_trace[-1]
         assert report.log_likelihood == forward_log_likelihood(obs, report.params)
 
+    def test_swapped_fit_whose_scaled_rescore_underflows_scores_in_log_space(self):
+        obs = LogSeries(np.log1p(SWAP_UNDERFLOW_COUNTS), 30)
+        report = baum_welch(obs, default_init(obs))
+        p = report.params
+        assert report.swapped and _all_finite(p)
+        assert type(report.log_likelihood) is float
+        exact = brute_force_likelihood(obs, p)
+        assert abs(report.log_likelihood - exact) <= FORWARD_REL_TOL * abs(exact)
+        # the scaled pass itself still refuses these parameters
+        with pytest.raises(InputError, match="zero probability"):
+            forward_log_likelihood(obs, p)
+
     def test_deterministic(self):
         series, _ = simulate(SimSpec(reference_params(), 1000, seed=25))
         obs = log_transform(series)
@@ -747,3 +772,44 @@ class TestParamsIo:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(InputError):
             read_params(path)
+
+
+@st.composite
+def raw_counts(draw):
+    """Count arrays of 10 to 300 epochs, up to 1e9 counts: runs of zeros,
+    constant runs, noise in {0, 1, 2}, with up to three spikes on top."""
+    t = draw(st.one_of(st.integers(10, BRUTE_FORCE_MAX_T), st.integers(10, 300)))
+    level = st.one_of(st.just(0), st.integers(0, 2), st.integers(0, 10**9))
+    runs = draw(st.lists(st.tuples(st.integers(1, t), level), min_size=1, max_size=12))
+    counts = np.concatenate([np.full(n, value, dtype=np.int64) for n, value in runs])
+    counts = np.resize(counts, t)  # repeats the runs up to t epochs
+    spikes = st.tuples(st.integers(0, t - 1), st.integers(1, 10**9))
+    for index, value in draw(st.lists(spikes, max_size=3)):
+        counts[index] = value
+    return counts
+
+
+class TestRawCountProperty:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(raw_counts())
+    @example(np.array(SWAP_UNDERFLOW_COUNTS))
+    def test_fit_decode_smooth_is_finite_and_scores_its_params(self, counts):
+        obs = LogSeries(np.log1p(counts.astype(np.float64)), 30)
+        report = baum_welch(obs, default_init(obs))
+        p = report.params
+        assert _all_finite(p)
+        assert np.isfinite(report.log_likelihood)
+        labels = smooth(viterbi(obs, p))
+        assert len(labels) == len(counts)
+        if not report.swapped:
+            assert report.log_likelihood == report.log_likelihood_trace[-1]
+        trace = report.log_likelihood_trace
+        for before, after in zip(trace, trace[1:]):
+            assert after >= before - 1e-12 * max(1.0, abs(before))
+        if len(counts) <= BRUTE_FORCE_MAX_T:
+            # relative to max(1, |exact|), as ``verify`` measures the forward
+            # pass: all-zero counts score about -1e-5, where rounding at
+            # the scale of the per-epoch terms is 1e-15 absolute
+            exact = brute_force_likelihood(obs, p)
+            gap = abs(report.log_likelihood - exact)
+            assert gap <= FORWARD_REL_TOL * max(1.0, abs(exact))
