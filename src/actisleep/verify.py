@@ -3,11 +3,13 @@
 The oracles score every one of the 2^T state paths of a short sequence
 with one path scorer and derive the likelihood, the posteriors and the
 most probable path from those scores.  The self-checks generate random
-short instances (valid parameters plus observations), cross-check the
-scaled forward likelihood, posterior marginals and Viterbi path against
-the oracles, and check EM ascent on a few simulated series.  The check
-functions are injectable so tests can demonstrate that a faulty
-implementation is caught.
+short instances (valid parameters plus observations), enumerate each
+instance once, and read from that one table of path scores the checks of
+the scaled forward likelihood, the posterior marginals and the Viterbi
+decode, which passes when it reaches the enumerated maximum score (any
+tied path does); they also check EM ascent on a few simulated series.
+The check functions are injectable so tests can demonstrate that a
+faulty implementation is caught.
 """
 
 from __future__ import annotations
@@ -74,7 +76,11 @@ def brute_force_likelihood(obs: LogSeries, params: hmm.HmmParams) -> float:
 
 def brute_force_posteriors(obs: LogSeries, params: hmm.HmmParams) -> np.ndarray:
     """(T, 2) state posteriors by exhaustive enumeration."""
-    logp, paths = _path_log_probs(obs, params)
+    return _posteriors(*_path_log_probs(obs, params))
+
+
+def _posteriors(logp: np.ndarray, paths: np.ndarray) -> np.ndarray:
+    """(T, 2) state posteriors from the scores of all paths."""
     weights = np.exp(logp - _logsumexp(logp))
     gamma = np.empty((paths.shape[1], 2))
     gamma[:, 1] = weights @ paths
@@ -90,13 +96,10 @@ def brute_force_viterbi(obs: LogSeries, params: hmm.HmmParams) -> StateSequence:
     lexicographically smallest; the enumeration reproduces that rule.
     """
     logp, paths = _path_log_probs(obs, params)
-    best = np.max(logp)
-    tied = np.flatnonzero(logp == best)
-    # reversed-lex order: compare final states first
-    rev_keys = paths[tied][:, ::-1]
-    order = np.lexsort(rev_keys.T[::-1])
-    winner = paths[tied[order[0]]]
-    return StateSequence(winner, obs.epoch_seconds)
+    tied = np.flatnonzero(logp == np.max(logp))
+    # read each path as a binary number, final state most significant
+    reversed_binary = paths[tied] @ (1 << np.arange(len(obs)))
+    return StateSequence(paths[tied[np.argmin(reversed_binary)]], obs.epoch_seconds)
 
 
 @dataclass(frozen=True)
@@ -146,6 +149,15 @@ def random_instance(
     return LogSeries(values, 30), random_params(rng)
 
 
+# name, tolerance on the per-instance error, label of the worst error in
+# the detail (None: the detail reports only the first failure)
+_ORACLE_CHECKS = (
+    ("forward vs enumeration", FORWARD_REL_TOL, "worst rel err"),
+    ("viterbi vs enumeration", 0.0, None),
+    ("posteriors vs enumeration", POSTERIOR_TOL, "worst abs err"),
+)
+
+
 def run_verification(
     trials: int = 500,
     max_t: int = 12,
@@ -164,60 +176,33 @@ def run_verification(
     viterbi_fn = viterbi_fn or hmm.viterbi
     posterior_fn = posterior_fn or hmm.posterior_marginals
     rng = np.random.Generator(np.random.PCG64(seed))
-    checks: list[CheckResult] = []
 
     instance_seeds = rng.integers(0, 2**63 - 1, size=trials)
-    fwd_bad = vit_bad = post_bad = None
-    fwd_worst = post_worst = 0.0
+    worst = [0.0] * len(_ORACLE_CHECKS)
+    bad: list[int | None] = [None] * len(_ORACLE_CHECKS)
     for inst_seed in instance_seeds:
         inst_rng = np.random.Generator(np.random.PCG64(int(inst_seed)))
         obs, params = random_instance(inst_rng, max_t)
-        exact = brute_force_likelihood(obs, params)
-        got = forward_fn(obs, params)
-        rel = abs(got - exact) / max(1.0, abs(exact))
-        fwd_worst = max(fwd_worst, rel)
-        if rel > FORWARD_REL_TOL and fwd_bad is None:
-            fwd_bad = int(inst_seed)
-        decoded = viterbi_fn(obs, params)
-        expected = brute_force_viterbi(obs, params)
-        if not np.array_equal(decoded.states, expected.states):
-            # adjacent equal observations can tie two paths exactly; the
-            # decode is still correct if it attains the enumeration max
-            best = path_log_probability(obs, params, expected)
-            if path_log_probability(obs, params, decoded) != best:
-                if vit_bad is None:
-                    vit_bad = int(inst_seed)
-        err = np.max(
-            np.abs(posterior_fn(obs, params) - brute_force_posteriors(obs, params))
-        )
-        post_worst = max(post_worst, float(err))
-        if err > POSTERIOR_TOL and post_bad is None:
-            post_bad = int(inst_seed)
-    checks.append(
-        CheckResult(
-            "forward vs enumeration",
-            fwd_bad is None,
-            f"worst rel err {fwd_worst:.3e}"
-            + (f"; first failing instance seed {fwd_bad}" if fwd_bad is not None else ""),
-        )
-    )
-    checks.append(
-        CheckResult(
-            "viterbi vs enumeration",
-            vit_bad is None,
-            "paths identical"
-            if vit_bad is None
-            else f"first failing instance seed {vit_bad}",
-        )
-    )
-    checks.append(
-        CheckResult(
-            "posteriors vs enumeration",
-            post_bad is None,
-            f"worst abs err {post_worst:.3e}"
-            + (f"; first failing instance seed {post_bad}" if post_bad is not None else ""),
-        )
-    )
+        logp, paths = _path_log_probs(obs, params)
+        exact = _logsumexp(logp)
+        forward_err = abs(forward_fn(obs, params) - exact) / max(1.0, abs(exact))
+        # row of the decoded path in the lexicographic path table
+        row = viterbi_fn(obs, params).states @ (1 << np.arange(len(obs) - 1, -1, -1))
+        # adjacent equal observations can tie two paths exactly; the
+        # decode is correct if it attains the enumeration max
+        decode_gap = logp.max() - logp[row]
+        posterior_err = np.max(np.abs(posterior_fn(obs, params) - _posteriors(logp, paths)))
+        errors = (forward_err, decode_gap, float(posterior_err))
+        for k, (err, (_, tol, _)) in enumerate(zip(errors, _ORACLE_CHECKS)):
+            worst[k] = max(worst[k], err)
+            if err > tol and bad[k] is None:
+                bad[k] = int(inst_seed)
+    checks = []
+    for (name, _, label), worst_err, bad_seed in zip(_ORACLE_CHECKS, worst, bad):
+        parts = [f"{label} {worst_err:.3e}"] if label else []
+        if bad_seed is not None:
+            parts.append(f"first failing instance seed {bad_seed}")
+        checks.append(CheckResult(name, bad_seed is None, "; ".join(parts) or "paths identical"))
 
     em_bad = None
     for k in range(em_runs):

@@ -106,6 +106,20 @@ class TestSimulate:
             "--out", str(tmp_path / "old.out.csv"),
         )[0] == 0
 
+    def test_sixty_second_epochs_round_trip(self, tmp_path, capsys):
+        prefix = tmp_path / "min"
+        assert _run(
+            capsys, "simulate", "--t", "50", "--epoch-seconds", "60",
+            "--start", "2020-01-01T22:00:00Z", "--out-prefix", str(prefix),
+        )[0] == 0
+        epochs = tmp_path / "min.epochs.csv"
+        stamps = [row.split(",")[0] for row in epochs.read_text().splitlines()[1:4]]
+        assert stamps == ["2020-01-01T22:00:00Z", "2020-01-01T22:01:00Z", "2020-01-01T22:02:00Z"]
+        assert _run(
+            capsys, "score", str(epochs), "--params", str(tmp_path / "min.params.txt"),
+            "--out", str(tmp_path / "min.out.csv"),
+        )[0] == 0
+
     def test_timestamps_past_year_9999_exit_1(self, tmp_path, capsys):
         code, _, err = _run(
             capsys, "simulate", "--t", "3", "--start", "9999-12-31T23:59:00Z",
@@ -465,6 +479,22 @@ class TestCompare:
         assert len(row) == len(header)
         assert row[0] == "rec,a.epochs"
         assert float(row[header.index("p,q_accuracy")]) == 1.0
+
+    def test_undefined_rate_written_as_na(self, sim, capsys):
+        # an all-wake truth has no sleep epochs, so sensitivity for sleep is 0/0
+        truth = sim["dir"] / "wake.csv"
+        truth.write_text("epoch_index,state\n" + "".join(f"{i},W\n" for i in range(2000)))
+        window = sim["dir"] / "window.txt"
+        _write_window(window, read_epoch_csv(sim["epochs"]), 0, 2000, 0, 1999)
+        out = sim["dir"] / "report.csv"
+        assert _run(
+            capsys,
+            "compare", "--truth", str(truth), "--pred", str(sim["labels"]),
+            "--epochs", str(sim["epochs"]), "--window", str(window), "--out", str(out),
+        )[0] == 0
+        with open(out, newline="") as fh:
+            header, row = csv.reader(fh)
+        assert row[header.index("rec.labels_sensitivity_sleep")] == "NA"
 
     def test_length_mismatch_exits_1(self, sim, capsys):
         series = read_epoch_csv(sim["epochs"])

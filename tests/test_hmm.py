@@ -31,7 +31,7 @@ from actisleep.emissions import (
     fit_wake_weighted,
     sleep_log_emission,
 )
-from actisleep.errors import InputError
+from actisleep.errors import DegenerateWeightError, InputError
 from actisleep.hmm import _forward_backward
 from actisleep.series import LogSeries, StateSequence, log_transform
 from actisleep.simulate import SimSpec, reference_params, simulate
@@ -536,6 +536,19 @@ class TestBaumWelch:
         assert np.isfinite([p.sleep.alpha, p.sleep.mu1, p.sleep.sigma1]).all()
         assert np.isfinite([p.wake.mu2, p.wake.sigma2]).all()
         assert np.all(np.diff(report.log_likelihood_trace) >= -1e-9)
+
+    def test_degenerate_m_step_names_its_iteration(self):
+        # no epoch is zero and the sleep density is a spike far below them
+        # all, so the first E-step gives sleep no weight anywhere
+        obs = LogSeries(np.log1p(np.arange(1, 21) * 10.0), 30)
+        init = HmmParams(
+            a=np.array([[0.9, 0.1], [0.1, 0.9]]),
+            sleep=SleepEmission(alpha=0.5, mu1=-5.0, sigma1=0.001),
+            wake=WakeEmission(mu2=3.0, sigma2=1.0),
+            pi=np.array([0.5, 0.5]),
+        )
+        with pytest.raises(DegenerateWeightError, match="EM iteration 1: all weights are zero"):
+            baum_welch(obs, init)
 
     @staticmethod
     def _sleep_m_steps(monkeypatch, obs):

@@ -1,5 +1,7 @@
 """Self-verification tests: the clean implementation passes, faults are caught."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy.special import logsumexp
@@ -95,3 +97,16 @@ class TestFaultInjection:
         report = run_verification(trials=20, forward_fn=bad_forward, em_runs=0)
         detail = {c.name: c.detail for c in report.checks}["forward vs enumeration"]
         assert "instance seed" in detail
+
+    def test_falling_em_trace_caught(self, monkeypatch):
+        monkeypatch.setattr(
+            hmm, "baum_welch", lambda *a, **k: SimpleNamespace(log_likelihood_trace=[-5.0, -6.0])
+        )
+        report = run_verification(trials=3, seed=8)
+        # the EM seeds are drawn after all the instance seeds
+        rng = np.random.Generator(np.random.PCG64(8))
+        rng.integers(0, 2**63 - 1, size=3)
+        em_seed = int(rng.integers(0, 2**31))
+        check = {c.name: c for c in report.checks}["EM log-likelihood ascent"]
+        assert not check.passed
+        assert check.detail == f"decreasing trace at simulation seed {em_seed}"
