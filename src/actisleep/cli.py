@@ -75,10 +75,10 @@ def _cmd_simulate(args) -> dict:
         t_epochs=args.t,
         epoch_seconds=args.epoch_seconds,
         seed=args.seed,
-        start_time=parse_timestamp(args.start) if args.start else DEFAULT_START_TIME,
+        start_time=args.start,
     )
     series, states = simulate(spec)
-    prefix = Path(args.out_prefix)
+    prefix = args.out_prefix
     # JSON key -> output path; each file is named <prefix>.<key><extension>
     paths = {
         key: str(prefix.with_name(f"{prefix.name}.{key}{extension}"))
@@ -282,6 +282,23 @@ def _epoch_seconds(text: str) -> int:
     return value
 
 
+def _start(text: str):
+    """argparse type for ``simulate --start``: an ISO-8601 timestamp; others exit 3."""
+    try:
+        return parse_timestamp(text)
+    except FormatError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _out_prefix(text: str) -> Path:
+    """argparse type for ``simulate --out-prefix``: a path that ends in a file
+    name, which each output's name extends; others ("", ".", "/") exit 3."""
+    prefix = Path(text)
+    if not prefix.name:
+        raise argparse.ArgumentTypeError(f"{text!r} has no file name")
+    return prefix
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="actisleep", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -305,8 +322,10 @@ def build_parser() -> _Parser:
     p.add_argument("--t", type=_in_range(int, 2), default=2880, help="number of epochs")
     p.add_argument("--epoch-seconds", type=_epoch_seconds, default=30)
     p.add_argument("--seed", type=count, default=0)
-    p.add_argument("--start", help="ISO-8601 start timestamp")
-    p.add_argument("--out-prefix", required=True)
+    p.add_argument(
+        "--start", type=_start, default=DEFAULT_START_TIME, help="ISO-8601 start timestamp"
+    )
+    p.add_argument("--out-prefix", type=_out_prefix, required=True)
 
     p = command("fit", _cmd_fit, "fit HMM parameters to an epoch CSV", em)
     p.add_argument("epoch_csv")

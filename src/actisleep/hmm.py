@@ -3,11 +3,11 @@
 State index 0 is sleep (zero-inflated truncated Gaussian emission),
 index 1 is wake (Gaussian emission); the labeling convention mu1 < mu2
 is enforced after fitting.  The forward-backward pass uses Rabiner's
-per-step normalization, so posteriors come out normalized, and returns
-the expected transition counts summed over time rather than per-step
-pairwise posteriors; Viterbi runs in pure log space with ties broken
-toward sleep.  With two states, both recursions run as loops over plain
-Python floats read from and written to numpy arrays through
+per-step normalization, or log space where that meets a zero scale, and
+returns the expected transition counts summed over time rather than
+per-step pairwise posteriors; Viterbi runs in pure log space with ties
+broken toward sleep.  With two states, both recursions run as loops
+over plain Python floats read from and written to numpy arrays through
 ``memoryview``s; the Viterbi traceback is integer array work.
 """
 
@@ -107,9 +107,10 @@ def _forward_backward(obs: LogSeries, params: HmmParams):
     state posteriors and xi_sum the (2, 2) expected transition counts,
     i.e. the pairwise posteriors P(s_t = i, s_t+1 = j) summed over t.
     The two sequential recursions run over Python floats; xi_sum is one
-    vectorized step and no per-epoch (T-1, 2, 2) array is built.
+    vectorized step and no per-epoch (T-1, 2, 2) array is built.  A zero
+    scale hands the pass to ``_log_forward_backward``.
     """
-    logb, _, _ = log_terms(obs, params)
+    logb, log_a, log_pi = log_terms(obs, params)
     T = logb.shape[1]
     shift = logb.max(axis=0)
     b = np.exp(logb - shift)
@@ -132,10 +133,8 @@ def _forward_backward(obs: LogSeries, params: HmmParams):
             ct = p0 + p1
             x0, x1 = p0 / ct, p1 / ct
             al0[t], al1[t], cv[t] = x0, x1, ct
-    except ZeroDivisionError:
-        raise InputError(
-            "observations have zero probability under the parameters"
-        ) from None
+    except ZeroDivisionError:  # every state with forward mass underflowed
+        return _log_forward_backward(logb, log_a, log_pi)
     log_likelihood = float(np.sum(np.log(c)) + np.sum(shift))
 
     beta = np.empty((2, T))
@@ -158,23 +157,27 @@ def _forward_backward(obs: LogSeries, params: HmmParams):
     return log_likelihood, gamma, xi_sum
 
 
+def _log_forward_backward(logb, log_a, log_pi):
+    """``_forward_backward`` in log space, for an exact 0 in ``pi`` or ``a``
+    that leaves only states whose densities underflow to a zero scale."""
+    log_alpha, log_beta = np.empty_like(logb), np.zeros_like(logb)
+    log_alpha[:, 0] = log_pi + logb[:, 0]
+    for t in range(1, logb.shape[1]):  # log of the sum over i of alpha[i] a[i, j]
+        log_alpha[:, t] = np.logaddexp(*(log_alpha[:, t - 1, None] + log_a)) + logb[:, t]
+    log_likelihood = float(np.logaddexp(*log_alpha[:, -1]))
+    for t in range(logb.shape[1] - 1, 0, -1):
+        log_beta[:, t - 1] = np.logaddexp(*(log_a + (logb[:, t] + log_beta[:, t])).T)
+    gamma = np.exp(log_alpha + log_beta - log_likelihood).T
+    gamma /= gamma.sum(axis=1, keepdims=True)  # the M-step refuses a weight above 1
+    # xi_t[i, j] = alpha_t[i] a[i, j] y_t+1[j] / L with y = b * beta, summed over t
+    log_xi = log_alpha[:, None, :-1] + log_a[:, :, None] + (logb + log_beta)[None, :, 1:]
+    return log_likelihood, gamma, np.exp(log_xi - log_likelihood).sum(axis=2)
+
+
 def forward_log_likelihood(obs: LogSeries, params: HmmParams) -> float:
-    """log P(observations | params) by the scaled forward recursion."""
+    """log P(observations | params) by the forward recursion."""
     log_likelihood, _, _ = _forward_backward(obs, params)
     return log_likelihood
-
-
-def _log_space_log_likelihood(obs: LogSeries, params: HmmParams) -> float:
-    """log P(observations | params) by the forward recursion in log space.
-
-    Slower than the scaled pass, but an exact 0 in ``pi`` or ``a`` that
-    leaves only a state whose density underflows still scores finitely.
-    """
-    logb, log_a, log_pi = log_terms(obs, params)
-    delta = log_pi + logb[:, 0]
-    for t in range(1, logb.shape[1]):
-        delta = np.logaddexp(delta[0] + log_a[0], delta[1] + log_a[1]) + logb[:, t]
-    return float(np.logaddexp(delta[0], delta[1]))
 
 
 def posterior_marginals(obs: LogSeries, params: HmmParams) -> np.ndarray:
@@ -274,10 +277,7 @@ def baum_welch(
         # the zero-inflation mass stays with sleep, so the swapped model
         # is a different one and needs its own score
         params = _swap_states(params)
-        try:
-            log_likelihood = forward_log_likelihood(obs, params)
-        except InputError:  # the scaled pass underflowed to a zero scale
-            log_likelihood = _log_space_log_likelihood(obs, params)
+        log_likelihood = forward_log_likelihood(obs, params)
     return FitReport(
         params=params,
         log_likelihood=log_likelihood,

@@ -992,6 +992,30 @@ class TestUsageErrors:
         assert out == ""
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("prefix", ["", ".", "/"])
+    def test_simulate_out_prefix_without_file_name_exits_3(
+        self, tmp_path, capsys, monkeypatch, prefix
+    ):
+        # each output's name extends the prefix's file name
+        monkeypatch.chdir(tmp_path)
+        code, out, err = _run(capsys, "simulate", "--t", "10", "--out-prefix", prefix)
+        assert code == 3
+        assert "--out-prefix" in err and "has no file name" in err
+        assert "Traceback" not in err
+        assert out == ""
+        assert not list(tmp_path.iterdir())
+
+    def test_simulate_unparsable_start_exits_3(self, tmp_path, capsys):
+        code, out, err = _run(
+            capsys, "simulate", "--t", "10", "--start", "yesterday",
+            "--out-prefix", str(tmp_path / "rec"),
+        )
+        assert code == 3
+        assert "--start" in err and "bad timestamp 'yesterday'" in err
+        assert "Traceback" not in err
+        assert out == ""
+        assert not list(tmp_path.iterdir())
+
     def test_simulate_single_epoch_exits_3(self, tmp_path, capsys):
         # one epoch gives a CSV whose spacing no reader can infer
         code, _, err = _run(

@@ -35,7 +35,14 @@ from actisleep.errors import DegenerateWeightError, InputError
 from actisleep.hmm import _forward_backward
 from actisleep.series import LogSeries, StateSequence, log_transform
 from actisleep.simulate import SimSpec, reference_params, simulate
-from actisleep.verify import BRUTE_FORCE_MAX_T, FORWARD_REL_TOL, random_instance
+from actisleep.verify import (
+    BRUTE_FORCE_MAX_T,
+    FORWARD_REL_TOL,
+    POSTERIOR_TOL,
+    _logsumexp,
+    _path_log_probs,
+    random_instance,
+)
 
 # default_init's fit swaps, and the swapped pi and a hold exact zeros that
 # leave only a state whose density underflows: the scaled re-score divides
@@ -255,9 +262,10 @@ class TestPosteriors:
             assert np.allclose(xi_sum.sum(axis=1), gamma[:-1].sum(axis=0), atol=1e-12)
             assert np.allclose(xi_sum.sum(axis=0), gamma[1:].sum(axis=0), atol=1e-12)
 
-    def test_zero_probability_observations_rejected(self):
-        # the sleep density underflows at the observation and pi rules
-        # out wake: the likelihood is exactly 0, a documented input error
+    def test_only_reachable_state_underflowing_scores_its_one_path(self):
+        # the sleep density underflows at the observation and pi and a rule
+        # out wake: the scaled pass meets a zero scale, yet the one path
+        # that stays asleep has a finite score
         p = HmmParams(
             a=np.eye(2),
             sleep=SleepEmission(0.5, 0.0, 0.01),
@@ -265,8 +273,79 @@ class TestPosteriors:
             pi=np.array([1.0, 0.0]),
         )
         obs = LogSeries(np.array([0.0, 5.0]), 30)
-        with pytest.raises(InputError, match="zero probability"):
-            forward_log_likelihood(obs, p)
+        assert forward_log_likelihood(obs, p) == brute_force_likelihood(obs, p)
+        assert forward_log_likelihood(obs, p) == pytest.approx(-124997.00691552777, rel=1e-15)
+
+
+def _xi_sum_enumerated(obs, params):
+    """xi_sum[i, j] = sum over paths of the path's posterior weight times
+    its number of i -> j transitions."""
+    logp, paths = _path_log_probs(obs, params)
+    weights = np.exp(logp - _logsumexp(logp))
+    return np.array([
+        [weights @ np.sum((paths[:, :-1] == i) & (paths[:, 1:] == j), axis=1) for j in (0, 1)]
+        for i in (0, 1)
+    ])
+
+
+def _zero_scale_instance(rng):
+    """T <= 16 epochs under parameters with an exact 0 in pi and in a row of
+    a, and emissions so narrow that most observations put one state's
+    density out of float range of the other's: most such instances drive
+    the scaled forward pass to a zero scale."""
+    t = int(rng.integers(2, BRUTE_FORCE_MAX_T + 1))
+    stay = rng.uniform(0.05, 0.95, size=2)
+    a = np.array([[stay[0], 1 - stay[0]], [1 - stay[1], stay[1]]])
+    a[rng.integers(2)] = np.eye(2)[rng.integers(2)]
+    mu1 = rng.uniform(0.0, 1.0)
+    params = HmmParams(
+        a=a,
+        sleep=SleepEmission(
+            alpha=rng.uniform(0.05, 0.95), mu1=mu1, sigma1=rng.uniform(0.005, 0.02)
+        ),
+        wake=WakeEmission(mu2=mu1 + rng.uniform(2.0, 4.0), sigma2=rng.uniform(0.005, 0.05)),
+        pi=np.eye(2)[rng.integers(2)],
+    )
+    values = rng.uniform(0.0, 6.0, size=t)
+    values[rng.random(t) < 0.3] = 0.0
+    return LogSeries(values, 30), params
+
+
+class TestLogSpaceFallback:
+    def test_zero_scale_instances_match_enumeration(self):
+        # log-likelihoods here reach -1e9, where the float enumeration is
+        # itself ~1e-7 off an exact one: errors are relative to max(1, |exact|)
+        rng = np.random.Generator(np.random.PCG64(20))
+        reached = 0
+        for _ in range(40):
+            obs, params = _zero_scale_instance(rng)
+            with mock.patch.object(
+                hmm, "_log_forward_backward", wraps=hmm._log_forward_backward
+            ) as log_space:
+                log_likelihood, gamma, xi_sum = _forward_backward(obs, params)
+            reached += log_space.called
+            exact = brute_force_likelihood(obs, params)
+            scale = max(1.0, abs(exact))
+            assert abs(log_likelihood - exact) <= FORWARD_REL_TOL * scale
+            gap = np.max(np.abs(gamma - brute_force_posteriors(obs, params)))
+            assert gap <= POSTERIOR_TOL * scale
+            gap = np.max(np.abs(xi_sum - _xi_sum_enumerated(obs, params)))
+            assert gap <= POSTERIOR_TOL * scale
+        assert reached >= 30
+
+    def test_agrees_with_scaled_pass_on_random_instances(self):
+        rng = np.random.Generator(np.random.PCG64(21))
+        for _ in range(100):
+            obs, params = random_instance(rng, BRUTE_FORCE_MAX_T)
+            log_likelihood, gamma, xi_sum = _forward_backward(obs, params)
+            log_space = hmm._log_forward_backward(*hmm.log_terms(obs, params))
+            scale = max(1.0, abs(log_likelihood))
+            assert abs(log_space[0] - log_likelihood) <= FORWARD_REL_TOL * scale
+            assert np.max(np.abs(log_space[1] - gamma)) <= POSTERIOR_TOL
+            assert np.max(np.abs(log_space[2] - xi_sum)) <= POSTERIOR_TOL
+            # the scaled pass's xi_sum against the enumeration
+            gap = np.max(np.abs(xi_sum - _xi_sum_enumerated(obs, params)))
+            assert gap <= POSTERIOR_TOL
 
 
 class TestViterbi:
@@ -681,9 +760,9 @@ class TestBaumWelch:
         assert type(report.log_likelihood) is float
         exact = brute_force_likelihood(obs, p)
         assert abs(report.log_likelihood - exact) <= FORWARD_REL_TOL * abs(exact)
-        # the scaled pass itself still refuses these parameters
-        with pytest.raises(InputError, match="zero probability"):
-            forward_log_likelihood(obs, p)
+        # the posteriors of the returned parameters take the same log-space pass
+        gap = np.max(np.abs(posterior_marginals(obs, p) - brute_force_posteriors(obs, p)))
+        assert gap <= POSTERIOR_TOL * abs(exact)
 
     def test_deterministic(self):
         series, _ = simulate(SimSpec(reference_params(), 1000, seed=25))
@@ -816,9 +895,13 @@ class TestRawCountProperty:
         assert len(labels) == len(counts)
         if not report.swapped:
             assert report.log_likelihood == report.log_likelihood_trace[-1]
+        assert forward_log_likelihood(obs, p) == report.log_likelihood
         trace = report.log_likelihood_trace
         for before, after in zip(trace, trace[1:]):
             assert after >= before - 1e-12 * max(1.0, abs(before))
+        gamma = posterior_marginals(obs, p)
+        assert np.all(np.isfinite(gamma))
+        assert np.all(np.abs(gamma.sum(axis=1) - 1.0) <= 1e-12)
         if len(counts) <= BRUTE_FORCE_MAX_T:
             # relative to max(1, |exact|), as ``verify`` measures the forward
             # pass: all-zero counts score about -1e-5, where rounding at
@@ -826,3 +909,5 @@ class TestRawCountProperty:
             exact = brute_force_likelihood(obs, p)
             gap = abs(report.log_likelihood - exact)
             assert gap <= FORWARD_REL_TOL * max(1.0, abs(exact))
+            gap = np.max(np.abs(gamma - brute_force_posteriors(obs, p)))
+            assert gap <= POSTERIOR_TOL * max(1.0, abs(exact))
