@@ -121,9 +121,7 @@ def _cmd_fit(args) -> dict:
 def _cmd_score(args) -> dict:
     obs = log_transform(read_epoch_csv(args.epoch_csv))
     params = hmm.read_params(args.params) if args.params else _fit(args, obs).params
-    decoded = hmm.viterbi(obs, params)
-    if args.min_minutes > 0:
-        decoded = postprocess.smooth(decoded, args.min_minutes)
+    decoded = postprocess.smooth(hmm.viterbi(obs, params), args.min_minutes)
     write_label_csv(decoded, args.out)
     _log(f"wrote {args.out} ({len(decoded)} epochs)")
     return {

@@ -152,28 +152,54 @@ def pearson_r(x, y) -> float:
     return float(np.clip(sxy / (sx * sy), -1.0, 1.0))
 
 
+def _beta_fraction(a: float, b: float, x: float) -> float:
+    """The continued fraction 1 / (1 + d1 / (1 + d2 / (1 + ...))) of I_x(a, b)
+    (Numerical Recipes 6.4), by the modified Lentz method.
+
+    It takes under 50 steps for x < (a + 1) / (a + b + 2).
+    """
+    c, d, f = math.inf, 1.0, 1.0  # the state after the leading 1 / ...
+    for m in range(1000):
+        for num in (
+            -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1)),
+            (m + 1) * (b - m - 1) * x / ((a + 2 * m + 1) * (a + 2 * m + 2)),
+        ):
+            d = 1.0 / ((1.0 + num * d) or 1e-300)  # 1e-300 stands in for a zero
+            c = (1.0 + num / c) or 1e-300
+            f *= c * d
+        if abs(c * d - 1.0) < 1e-15:
+            break
+    return f
+
+
 def _t_two_sided_p(t: float, df: int) -> float:
     """P(|T| >= |t|) for Student's t with a positive integer ``df``.
 
-    One minus the finite series for P(|T| < |t|) in
-    theta = atan(|t| / sqrt(df)) (Abramowitz & Stegun 26.7.3 for odd
-    ``df``, 26.7.4 for even).
+    That is I_x(a, 1/2), the regularized incomplete beta with a = df/2 at
+    x = df / (df + t**2), read from its continued fraction, so a small p
+    keeps its relative precision.  The fraction converges fast only for
+    x < (a + 1) / (a + 5/2); past that, where t**2 < 3 and p > 0.08, p is
+    1 - I_{1-x}(1/2, a), which loses no more than a few ulps there.
     """
-    theta = math.atan(abs(t) / math.sqrt(df))
-    cos2 = math.cos(theta) ** 2
-    if df % 2 == 0:
-        term = total = 1.0
-        for k in range(1, df // 2):
-            term *= (2 * k - 1) / (2 * k) * cos2
-            total += term
-        inside = math.sin(theta) * total
-    else:
-        term = total = math.cos(theta) if df > 1 else 0.0
-        for k in range(1, (df - 1) // 2):
-            term *= 2 * k / (2 * k + 1) * cos2
-            total += term
-        inside = 2.0 / math.pi * (theta + math.sin(theta) * total)
-    return max(1.0 - inside, 0.0)
+    t2 = t * t
+    if t2 == 0.0:
+        return 1.0
+    if math.isinf(t2):
+        return 0.0
+    a = df / 2
+    log_x, log_y = -math.log1p(t2 / df), -math.log1p(df / t2)  # of x and of 1 - x
+    # 1 / B(a, 1/2), from B(1/2, 1/2) = pi or B(1, 1/2) = 2
+    # by B(k + 1, 1/2) = B(k, 1/2) k / (k + 1/2)
+    inv_beta, k = (1 / math.pi, 0.5) if df % 2 else (0.5, 1.0)
+    while k < a:
+        inv_beta *= (k + 0.5) / k
+        k += 1
+    # x**a (1 - x)**(1/2) / B(a, 1/2): a times the prefactor of I_x(a, 1/2)
+    # and half that of I_{1-x}(1/2, a)
+    front = math.exp(a * log_x + 0.5 * log_y) * inv_beta
+    if t2 * (a + 1) > 3 * a:  # x < (a + 1) / (a + 5/2)
+        return front / a * _beta_fraction(a, 0.5, math.exp(log_x))
+    return 1.0 - 2.0 * front * _beta_fraction(0.5, a, math.exp(log_y))
 
 
 def paired_t(x, y) -> tuple[float, int, float]:

@@ -357,50 +357,57 @@ def _data_rows(path, header: list[str]):
             raise FormatError(f"{path}: row {row_no + 1}: {exc}") from None
 
 
+def _ascii_int(text: str) -> int | None:
+    """``int(text)`` if it is ASCII digits, signed or not, amid whitespace; else None."""
+    digits = text.strip()
+    digits = digits[1:] if digits[:1] in ("+", "-") else digits
+    return int(text) if digits.isascii() and digits.isdigit() else None
+
+
 def _scan_epoch_csv(path) -> EpochSeries:
-    """Read an epoch CSV row by row: the definition of the format and its errors."""
-    timestamps: list[datetime] = []
-    row_nos = array("q")  # the row number of each timestamp, for spacing errors
-    counts: list[int] = []
+    """Read an epoch CSV row by row: the definition of the format and its errors.
+
+    Like the codec, it keeps the first and the previous timestamp and checks
+    each row's spacing as the row arrives, after the row's own fields.
+    """
+    counts = array("q")
+    first = last = epoch_seconds = None
     for row_no, (stamp, count_text) in _data_rows(path, ["timestamp", "count"]):
         try:
-            timestamps.append(parse_timestamp(stamp))
+            ts = parse_timestamp(stamp)
         except FormatError as exc:
             raise FormatError(f"{path}: row {row_no}: {exc}") from None
-        row_nos.append(row_no)
-        try:
-            count = int(count_text)
-        except ValueError:
-            raise FormatError(
-                f"{path}: row {row_no}: count {count_text!r} is not an integer"
-            ) from None
+        if (count := _ascii_int(count_text)) is None:
+            raise FormatError(f"{path}: row {row_no}: count {count_text!r} is not an integer")
         if count < 0:
             raise FormatError(f"{path}: row {row_no}: negative count {count}")
         if count > _MAX_COUNT:
             raise FormatError(f"{path}: row {row_no}: count {count} above 2**63 - 1")
+        if last is None:
+            first = ts
+        elif epoch_seconds is None:  # the second row fixes the spacing
+            step = (ts - last).total_seconds()
+            if step <= 0 or step != int(step):
+                raise FormatError(
+                    f"{path}: row {row_no}: non-positive or fractional epoch spacing"
+                )
+            epoch_seconds = int(step)
+            if not _valid_epoch_seconds(epoch_seconds):
+                raise FormatError(
+                    f"{path}: row {row_no}: epoch spacing {epoch_seconds} s is not supported: "
+                    f"{_SUPPORTED_EPOCH_SECONDS_MSG}"
+                )
+        elif (step := (ts - last).total_seconds()) != epoch_seconds:
+            raise FormatError(
+                f"{path}: row {row_no}: spacing {step:g} s differs from {epoch_seconds} s"
+            )
+        last = ts
         counts.append(count)
     if not counts:
         raise EmptyInputError(f"{path}: no data rows")
-    if len(counts) == 1:
+    if epoch_seconds is None:
         raise EmptyInputError(f"{path}: one data row; epoch spacing cannot be inferred")
-    spacing = (timestamps[1] - timestamps[0]).total_seconds()
-    if spacing <= 0 or spacing != int(spacing):
-        raise FormatError(
-            f"{path}: row {row_nos[1]}: non-positive or fractional epoch spacing"
-        )
-    epoch_seconds = int(spacing)
-    if not _valid_epoch_seconds(epoch_seconds):
-        raise FormatError(
-            f"{path}: row {row_nos[1]}: epoch spacing {epoch_seconds} s is not supported: "
-            f"{_SUPPORTED_EPOCH_SECONDS_MSG}"
-        )
-    for i in range(1, len(timestamps)):
-        step = (timestamps[i] - timestamps[i - 1]).total_seconds()
-        if step != spacing:
-            raise FormatError(
-                f"{path}: row {row_nos[i]}: spacing {step:g} s differs from {epoch_seconds} s"
-            )
-    return EpochSeries(timestamps[0], epoch_seconds, np.array(counts, dtype=np.int64))
+    return EpochSeries(first, epoch_seconds, np.frombuffer(counts, dtype=np.int64))
 
 
 _WRITE_CHUNK = 8192  # rows formatted at a time; bounds the arrays held at once
@@ -508,29 +515,21 @@ def _parse_label_csv(path, expected_len: int, epoch_seconds: int) -> StateSequen
 
 def _scan_label_csv(path, expected_len: int, epoch_seconds: int) -> StateSequence:
     """Read a label CSV row by row: the definition of the format and its errors."""
-    seen = bytearray(expected_len)
-    states = bytearray(expected_len)
-    n_rows = 0
+    states = bytearray([_UNSET]) * expected_len
     for row_no, (index, token) in _data_rows(path, ["epoch_index", "state"]):
-        try:
-            idx = int(index)
-        except ValueError:
-            raise FormatError(f"{path}: row {row_no}: bad epoch index {index!r}") from None
+        if (idx := _ascii_int(index)) is None:
+            raise FormatError(f"{path}: row {row_no}: bad epoch index {index!r}")
         if not 0 <= idx < expected_len:
-            raise FormatError(
-                f"{path}: row {row_no}: index {idx} outside 0..{expected_len - 1}"
-            )
-        if seen[idx]:
+            raise FormatError(f"{path}: row {row_no}: index {idx} outside 0..{expected_len - 1}")
+        if states[idx] != _UNSET:
             raise FormatError(f"{path}: row {row_no}: duplicate index {idx}")
         token = token.strip()
         if token not in _LETTER_STATES:
             raise FormatError(f"{path}: row {row_no}: unknown state token {token!r}")
-        seen[idx] = 1
         states[idx] = _LETTER_STATES[token]
-        n_rows += 1
-    if n_rows != expected_len:
+    if unset := states.count(_UNSET):
         raise FormatError(
-            f"{path}: {n_rows} labeled epochs, expected {expected_len}"
+            f"{path}: {expected_len - unset} labeled epochs, expected {expected_len}"
         )
     return StateSequence(np.frombuffer(states, dtype=np.int8), epoch_seconds)
 

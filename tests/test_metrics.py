@@ -248,6 +248,15 @@ class TestTwoSidedP:
                 assert _t_two_sided_p(t, df) == pytest.approx(want, abs=1e-12), (t, df)
                 assert _t_two_sided_p(-t, df) == _t_two_sided_p(t, df)
 
+    def test_small_p_keeps_relative_precision(self):
+        # the absolute test above cannot see a tail taken as 1 - P(|T| < |t|):
+        # at df = 42 that gave 2.2e-16 for t = 20 (truth 4.39e-23) and 0.0 for t = 40
+        ts = [0.1, 0.5, 1.0, 1.5, 1.7, 1.75, 2.0, 3.0, 5.0, 8.0, 12.0, 20.0, 30.0, 40.0]
+        for df in range(1, 201):
+            for t in ts:
+                want = float(_mp_t_two_sided_p(t, df))
+                assert _t_two_sided_p(t, df) == pytest.approx(want, rel=1e-12, abs=0), (t, df)
+
     @pytest.mark.parametrize("df", [1, 2, 3, 4, 5000])
     def test_infinite_t_gives_zero(self, df):
         assert _t_two_sided_p(float("inf"), df) == 0.0

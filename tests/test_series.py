@@ -3,6 +3,7 @@
 import calendar
 import io
 import math
+import re
 import time
 import tracemalloc
 from datetime import date, datetime, timedelta, timezone
@@ -173,6 +174,56 @@ class TestReadEpochCsv:
             read_epoch_csv(path)
 
     @pytest.mark.parametrize(
+        "rows, message",
+        [
+            # the spacing breaks at row 3, ahead of row 4's bad count
+            (
+                [
+                    ("2012-05-01T21:30:00Z", 1),
+                    ("2012-05-01T21:30:30Z", 2),
+                    ("2012-05-01T21:31:30Z", 3),
+                    ("2012-05-01T21:32:00Z", "x"),
+                ],
+                "row 3: spacing 60 s differs from 30 s",
+            ),
+            # an unsupported spacing at row 2, ahead of row 3's negative count
+            (
+                [
+                    ("2012-05-01T21:30:00Z", 1),
+                    ("2012-05-01T21:30:45Z", 2),
+                    ("2012-05-01T21:31:30Z", -3),
+                ],
+                "row 2: epoch spacing 45 s is not supported",
+            ),
+            # a row's own count comes before its spacing
+            (
+                [("2012-05-01T21:30:00Z", 1), ("2012-05-01T21:30:45Z", "x")],
+                "row 2: count 'x' is not an integer",
+            ),
+        ],
+    )
+    def test_first_bad_row_named(self, tmp_path, rows, message):
+        path = _epoch_csv(tmp_path, rows)
+        with pytest.raises(FormatError, match=f"^{path}: {message}"):
+            read_epoch_csv(path)
+
+    # int() reads the first two as 1000 and 3; a doubled sign is refused as int() refuses it
+    @pytest.mark.parametrize("count", ["1_000", "\u0663", "+-5"])
+    def test_count_must_be_ascii_digits(self, tmp_path, count):
+        path = tmp_path / "epochs.csv"
+        rows = f"timestamp,count\n2012-05-01T21:30:00Z,1\n2012-05-01T21:30:30Z,{count}\n"
+        path.write_text(rows, encoding="utf-8")
+        message = f"row 2: count {count!r} is not an integer"
+        with pytest.raises(FormatError, match=re.escape(message)):
+            read_epoch_csv(path)
+
+    def test_count_sign_and_whitespace_read(self, tmp_path):
+        path = _epoch_csv(
+            tmp_path, [("2012-05-01T21:30:00Z", " +7 "), ("2012-05-01T21:30:30Z", "\t0")]
+        )
+        assert read_epoch_csv(path).counts.tolist() == [7, 0]
+
+    @pytest.mark.parametrize(
         "first, second, row",
         [
             ("9999-12-31T23:59:00-01:00", "9999-12-31T23:59:30-01:00", 1),
@@ -324,6 +375,25 @@ class TestLabelCsv:
         path.write_text("epoch_index,state\n" + rows)
         with pytest.raises(FormatError, match=message):
             read_label_csv(path, 2)
+
+    # int() reads the first two as 2; a doubled sign is refused as int() refuses it
+    @pytest.mark.parametrize("index", ["0_2", "\u0662", "--2"])
+    def test_index_must_be_ascii_digits(self, tmp_path, index):
+        path = tmp_path / "labels.csv"
+        path.write_text(f"epoch_index,state\n0,S\n1,W\n{index},S\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=re.escape(f"row 3: bad epoch index {index!r}")):
+            read_label_csv(path, 3)
+
+    def test_index_sign_and_whitespace_read(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        path.write_text("epoch_index,state\n +1 ,W\n\t0,S\n")
+        assert list(read_label_csv(path, 2).states) == [State.SLEEP, State.WAKE]
+
+    def test_shortfall_counts_labeled_epochs(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        path.write_text("epoch_index,state\n3,S\n\n0,W\n")
+        with pytest.raises(FormatError, match=f"^{path}: 2 labeled epochs, expected 5$"):
+            read_label_csv(path, 5)
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "labels.csv"
@@ -1060,7 +1130,7 @@ class TestMultiChunkFiles:
 
 
 class TestReaderMemory:
-    """The readers hold a chunk of rows at a time, not the whole file."""
+    """The readers hold a chunk of rows at a time, the row scans one row, not the whole file."""
 
     N_ROWS = 200_000
 
@@ -1078,6 +1148,14 @@ class TestReaderMemory:
         write_epoch_csv(EpochSeries(START, 30, np.arange(self.N_ROWS) * 7919 % 3000), path)
         # parsing the whole file into rows first peaked at 16.0 MB
         assert self._peak_bytes(lambda: read_epoch_csv(path)) <= 8e6
+
+    def test_epoch_row_scan_peak(self, tmp_path):
+        path = tmp_path / "long.csv"
+        write_epoch_csv(EpochSeries(START, 30, np.arange(self.N_ROWS) * 7919 % 3000), path)
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        assert series_module._parse_epoch_csv(path) is None  # CRLF rows go to the row scan
+        # keeping every row's datetime and row number for a second loop peaked at 21.5 MB
+        assert self._peak_bytes(lambda: read_epoch_csv(path)) <= 4e6
 
     def test_label_reader_peak(self, tmp_path):
         path = tmp_path / "long.csv"
