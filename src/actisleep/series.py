@@ -361,7 +361,10 @@ def _ascii_int(text: str) -> int | None:
     """``int(text)`` if it is ASCII digits, signed or not, amid whitespace; else None."""
     digits = text.strip()
     digits = digits[1:] if digits[:1] in ("+", "-") else digits
-    return int(text) if digits.isascii() and digits.isdigit() else None
+    try:  # int() also refuses more digits than sys.get_int_max_str_digits() allows
+        return int(text) if digits.isascii() and digits.isdigit() else None
+    except ValueError:
+        return None
 
 
 def _scan_epoch_csv(path) -> EpochSeries:
@@ -528,9 +531,7 @@ def _scan_label_csv(path, expected_len: int, epoch_seconds: int) -> StateSequenc
             raise FormatError(f"{path}: row {row_no}: unknown state token {token!r}")
         states[idx] = _LETTER_STATES[token]
     if unset := states.count(_UNSET):
-        raise FormatError(
-            f"{path}: {expected_len - unset} labeled epochs, expected {expected_len}"
-        )
+        raise FormatError(f"{path}: {expected_len - unset} labeled epochs, expected {expected_len}")
     return StateSequence(np.frombuffer(states, dtype=np.int8), epoch_seconds)
 
 
@@ -572,9 +573,7 @@ def read_key_values(path, keys, convert) -> dict:
             except FormatError as exc:
                 raise FormatError(f"{path}: line {line_no}: {exc}") from None
             except ValueError:
-                raise FormatError(
-                    f"{path}: line {line_no}: bad value {raw!r}"
-                ) from None
+                raise FormatError(f"{path}: line {line_no}: bad value {raw!r}") from None
     missing = [k for k in keys if k not in values]
     if missing:
         raise FormatError(f"{path}: missing keys {missing}")

@@ -207,8 +207,11 @@ class TestReadEpochCsv:
         with pytest.raises(FormatError, match=f"^{path}: {message}"):
             read_epoch_csv(path)
 
-    # int() reads the first two as 1000 and 3; a doubled sign is refused as int() refuses it
-    @pytest.mark.parametrize("count", ["1_000", "\u0663", "+-5"])
+    # int() reads the first two as 1000 and 3; a doubled sign is refused as int() refuses it,
+    # and so is a count of more digits than int() converts (4,300 by default)
+    @pytest.mark.parametrize(
+        "count", ["1_000", "\u0663", "+-5", pytest.param("7" * 5000, id="5000-digits")]
+    )
     def test_count_must_be_ascii_digits(self, tmp_path, count):
         path = tmp_path / "epochs.csv"
         rows = f"timestamp,count\n2012-05-01T21:30:00Z,1\n2012-05-01T21:30:30Z,{count}\n"
@@ -376,8 +379,11 @@ class TestLabelCsv:
         with pytest.raises(FormatError, match=message):
             read_label_csv(path, 2)
 
-    # int() reads the first two as 2; a doubled sign is refused as int() refuses it
-    @pytest.mark.parametrize("index", ["0_2", "\u0662", "--2"])
+    # int() reads the first two as 2; a doubled sign is refused as int() refuses it,
+    # and so is an index of more digits than int() converts (4,300 by default)
+    @pytest.mark.parametrize(
+        "index", ["0_2", "\u0662", "--2", pytest.param("1" * 5000, id="5000-digits")]
+    )
     def test_index_must_be_ascii_digits(self, tmp_path, index):
         path = tmp_path / "labels.csv"
         path.write_text(f"epoch_index,state\n0,S\n1,W\n{index},S\n", encoding="utf-8")
