@@ -91,10 +91,6 @@ def rescore(series: EpochSeries) -> np.ndarray:
     return totals
 
 
-def _per_epoch_threshold(cpm: float, epoch_seconds: int) -> float:
-    return cpm * epoch_seconds / 60.0
-
-
 def _window_epochs(minutes: float, epoch_seconds: int) -> int:
     """Block length in epochs; an empty block would qualify trivially."""
     window = round(min(minutes * 60.0, _MAX_SPAN_SECONDS) / epoch_seconds)
@@ -103,6 +99,15 @@ def _window_epochs(minutes: float, epoch_seconds: int) -> int:
             f"a {minutes:g}-minute window rounds to no {epoch_seconds} s epoch"
         )
     return window
+
+
+def _quiet_blocks(scores, epoch_seconds, cpm, minutes, tolerance) -> tuple[np.ndarray, int]:
+    """The start of every block of ``minutes`` with at most ``tolerance``
+    epochs above ``cpm`` per minute, ascending, and the block's length."""
+    window = _window_epochs(minutes, epoch_seconds)
+    loud = np.asarray(scores, dtype=np.float64) > cpm * epoch_seconds / 60.0
+    above = np.concatenate([[0], np.cumsum(loud)])
+    return np.flatnonzero(above[window:] - above[:-window] <= tolerance), window
 
 
 def find_sleep_start(
@@ -114,33 +119,25 @@ def find_sleep_start(
     ``start_tolerance_minutes`` worth of epochs score above the
     per-epoch immobility threshold.
     """
-    scores = np.asarray(scores, dtype=np.float64)
-    window = _window_epochs(cfg.start_window_minutes, epoch_seconds)
     tolerance = int(min(cfg.start_tolerance_minutes * 60.0, _MAX_SPAN_SECONDS) // epoch_seconds)
-    threshold = _per_epoch_threshold(cfg.immobility_start_cpm, epoch_seconds)
-    if go_to_bed < 0 or go_to_bed >= scores.size:
+    cpm, minutes = cfg.immobility_start_cpm, cfg.start_window_minutes
+    starts, _ = _quiet_blocks(scores, epoch_seconds, cpm, minutes, tolerance)
+    if go_to_bed < 0 or go_to_bed >= len(scores):
         raise InputError("go_to_bed outside series bounds")
-    above = np.concatenate([[0], np.cumsum(scores > threshold)])
-    for t in range(go_to_bed, scores.size - window + 1):
-        if above[t + window] - above[t] <= tolerance:
-            return t
-    return None
+    i = np.searchsorted(starts, go_to_bed)
+    return int(starts[i]) if i < starts.size else None
 
 
 def find_sleep_end(
     scores: np.ndarray, epoch_seconds: int, get_up: int, cfg: AsConfig
 ) -> int | None:
     """Last epoch of the latest qualifying block at or before get-up, or None."""
-    scores = np.asarray(scores, dtype=np.float64)
-    window = _window_epochs(cfg.end_window_minutes, epoch_seconds)
-    threshold = _per_epoch_threshold(cfg.immobility_end_cpm, epoch_seconds)
-    if get_up < 0 or get_up >= scores.size:
+    cpm, minutes = cfg.immobility_end_cpm, cfg.end_window_minutes
+    starts, window = _quiet_blocks(scores, epoch_seconds, cpm, minutes, cfg.end_tolerance_epochs)
+    if get_up < 0 or get_up >= len(scores):
         raise InputError("get_up outside series bounds")
-    above = np.concatenate([[0], np.cumsum(scores > threshold)])
-    for end in range(get_up, window - 2, -1):
-        if above[end + 1] - above[end + 1 - window] <= cfg.end_tolerance_epochs:
-            return end
-    return None
+    i = np.searchsorted(starts, get_up + 1 - window, side="right")
+    return int(starts[i - 1]) + window - 1 if i else None
 
 
 def as_score(series: EpochSeries, window: StudyWindow, cfg: AsConfig | None = None) -> AsResult:

@@ -321,15 +321,15 @@ def viterbi(obs: LogSeries, params: HmmParams) -> StateSequence:
 def _traceback(backptr: np.ndarray, final: int) -> np.ndarray:
     """The path that follows the (2, T) ``int8`` backpointers back from ``final``.
 
-    Step t maps state[t] to state[t-1] = backptr[state[t], t].  Where the
-    two pointers agree the map is constant and fixes state[t-1] outright;
-    elsewhere state[t-1] = state[t] ^ backptr[0, t].  So each state is the
-    nearest fixed state at or after it, XORed with the swaps in between.
-    Worked in reverse epoch order r: ``swaps`` is the running parity of
-    the swaps, and ``key``, 2 r plus a fixed state's bit (0 where no state
-    is fixed), carries each fixed state on through
-    ``np.maximum.accumulate``.  ``key`` is int32, which holds 2 r for any
-    T below 2**30 epochs (1,000 years of 30 s epochs).
+    Step t maps state[t] to state[t-1] = backptr[state[t], t] (column 0 is
+    unread): ``viterbi``'s argmax pointers, or the simulator's per-step
+    chain maps in reverse time.  Where the two pointers agree the map is
+    constant and fixes state[t-1] outright; elsewhere state[t-1] =
+    state[t] ^ backptr[0, t].  So each state is the nearest fixed state at
+    or after it, XORed with the swaps in between.  Worked in reverse epoch
+    order r: ``swaps`` is the running parity of the swaps, and ``key``, 2 r
+    plus a fixed state's bit (0 where no state is fixed), carries each
+    fixed state on through ``np.maximum.accumulate``.
     """
     T = backptr.shape[1]
     bp0, bp1 = backptr[0, :0:-1], backptr[1, :0:-1]  # t = T-1, ..., 1
@@ -338,7 +338,7 @@ def _traceback(backptr: np.ndarray, final: int) -> np.ndarray:
     np.bitwise_xor.accumulate(swaps, out=swaps)
     fixed = np.ones(T, dtype=bool)
     np.equal(bp0, bp1, out=fixed[1:])
-    key = np.arange(0, 2 * T, 2, dtype=np.int32)
+    key = np.arange(0, 2 * T, 2, dtype=np.int64)
     key[0] += final
     key[1:] += bp0
     key ^= swaps  # bit 0 holds the fixed state XOR the parity up to it

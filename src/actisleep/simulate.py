@@ -21,9 +21,9 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .emissions import SleepEmission, WakeEmission
+from .emissions import SleepEmission, WakeEmission, log_ndtr
 from .errors import InputError
-from .hmm import HmmParams
+from .hmm import HmmParams, _traceback
 from .series import EpochSeries, StateSequence
 
 DEFAULT_START_TIME = datetime(2012, 5, 1, 21, 30, 0, tzinfo=timezone.utc)
@@ -62,16 +62,11 @@ class SimSpec:
 
 
 def _sample_states(params: HmmParams, t_epochs: int, rng: np.random.Generator) -> np.ndarray:
-    u = memoryview(rng.random(t_epochs))  # Python floats per index, no list of them
-    # P(next state is Sleep | current state), indexed by Sleep 0 / Wake 1
-    p_sleep = (float(params.a[0, 0]), float(params.a[1, 0]))
-    states = bytearray(t_epochs)
-    s = 1 if u[0] >= params.pi[0] else 0
-    states[0] = s
-    for t in range(1, t_epochs):
-        s = 0 if u[t] < p_sleep[s] else 1
-        states[t] = s
-    return np.frombuffer(states, dtype=np.int8)
+    # step t sends state s to Sleep iff u[t] < a[s, 0]: reversed, these maps are backpointers
+    u = rng.random(t_epochs)
+    maps = np.empty((2, t_epochs), dtype=np.int8)
+    maps[:, 1:] = u[:0:-1] >= params.a[:, :1]
+    return np.ascontiguousarray(_traceback(maps, int(u[0] >= params.pi[0]))[::-1])
 
 
 def sample_log_values(
@@ -81,6 +76,7 @@ def sample_log_values(
 
     A sleep epoch takes one uniform draw against alpha; a non-zero sleep
     or any wake epoch then redraws its Gaussian until the value is >= 0.
+    A Gaussian needing over 1,000 draws per value on average is refused first.
     """
     random, normal = rng.random, rng.normal
     alpha = float(params.sleep.alpha)
@@ -88,6 +84,9 @@ def sample_log_values(
         (float(params.sleep.mu1), float(params.sleep.sigma1)),
         (float(params.wake.mu2), float(params.wake.sigma2)),
     )
+    for state, (mu, sigma) in zip(("sleep", "wake"), draws):
+        if log_ndtr(mu / sigma) < np.log(1e-3):
+            raise InputError(f"the {state} Gaussian is >= 0 with probability below 1e-3")
     values = np.zeros(states.size, dtype=np.float64)
     out = memoryview(values)
     for t, s in enumerate(states.tolist()):  # Sleep is 0, Wake 1
@@ -103,7 +102,11 @@ def sample_log_values(
 
 
 def _values_to_counts(values: np.ndarray) -> np.ndarray:
-    return np.maximum(np.round(np.expm1(values)), 0.0).astype(np.int64)
+    with np.errstate(over="ignore"):  # an inf is refused with the other large counts
+        counts = np.maximum(np.round(np.expm1(values)), 0.0)
+    if np.any(counts >= 2.0**63):
+        raise InputError("a simulated count is above 2**63 - 1")
+    return counts.astype(np.int64)
 
 
 def simulate(spec: SimSpec) -> tuple[EpochSeries, StateSequence]:

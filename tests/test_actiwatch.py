@@ -4,6 +4,8 @@ from datetime import datetime, timezone
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from actisleep import AsConfig, as_score, find_sleep_end, find_sleep_start, rescore
 from actisleep.errors import ConfigError, InputError
@@ -123,6 +125,54 @@ class TestFindSleepEnd:
         # 30 s epochs: the 12-epoch block cannot end at or before epoch 5
         assert find_sleep_end(np.zeros(60), 30, 5, AsConfig()) is None
         assert find_sleep_end(np.zeros(60), 30, 11, AsConfig()) == 11
+
+
+class TestBlockSearchProperty:
+    """Both finds match a count of each block's loud epochs, block by block."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        st.sampled_from([15, 30, 60, 120]),
+        # 0..14 holds every per-epoch threshold (1, 2, 4, 8 to start; 1.5, 3, 6, 12 to end)
+        st.lists(st.integers(0, 14).map(float), min_size=1, max_size=40),
+        st.integers(1, 45),  # window in epochs, up to longer than the data
+        st.integers(0, 50),  # tolerance in epochs, up to above the window
+        st.integers(-2, 42),
+        st.integers(-2, 42),
+    )
+    def test_matches_brute_force_block_counts(
+        self, epoch_seconds, scores, window, tolerance, go_to_bed, get_up
+    ):
+        n = len(scores)
+        minutes = window * epoch_seconds / 60.0  # a whole number of epochs, exactly
+        cfg = AsConfig(
+            start_window_minutes=minutes,
+            end_window_minutes=minutes,
+            start_tolerance_minutes=tolerance * epoch_seconds / 60.0,
+            end_tolerance_epochs=tolerance,
+        )
+
+        def quiet(end, cpm):  # the block of `window` epochs that ends at `end`
+            if end + 1 < window:
+                return False
+            block = scores[end + 1 - window : end + 1]
+            return sum(score > cpm * epoch_seconds / 60.0 for score in block) <= tolerance
+
+        if 0 <= go_to_bed < n:
+            want = next(
+                (t for t in range(go_to_bed, n) if t + window <= n and quiet(t + window - 1, 4.0)),
+                None,
+            )
+            assert find_sleep_start(np.array(scores), epoch_seconds, go_to_bed, cfg) == want
+        else:
+            with pytest.raises(InputError, match="go_to_bed"):
+                find_sleep_start(np.array(scores), epoch_seconds, go_to_bed, cfg)
+        if 0 <= get_up < n:
+            want = next((end for end in range(get_up, -1, -1) if quiet(end, 6.0)), None)
+            assert find_sleep_end(np.array(scores), epoch_seconds, get_up, cfg) == want
+        else:
+            with pytest.raises(InputError, match="get_up"):
+                find_sleep_end(np.array(scores), epoch_seconds, get_up, cfg)
 
 
 class TestWindowLength:

@@ -130,6 +130,30 @@ class TestSimulate:
         assert "Traceback" not in err
 
 
+    @pytest.mark.parametrize(
+        "changes, message",
+        [({"mu1": "mu1=-10", "sigma1": "sigma1=1"},
+          "the sleep Gaussian is >= 0 with probability below 1e-3"),
+         ({"mu2": "mu2=50"}, "a simulated count is above 2**63 - 1")],
+    )
+    def test_unsampleable_params_exit_1(self, tmp_path, changes, message):
+        # a child process with a timeout, so a sampler that never ends fails
+        # the test rather than hanging it; -W error turns a numpy warning fatal
+        path = tmp_path / "p.txt"
+        hmm.write_params(cli.reference_params(), path)
+        kept = [line for line in path.read_text().splitlines() if line.split("=")[0] not in changes]
+        path.write_text("".join(f"{line}\n" for line in [*kept, *changes.values()]))
+        out = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "actisleep.cli", "simulate",
+             "--params", str(path), "--t", "2880", "--out-prefix", str(tmp_path / "rec")],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])},
+        )
+        assert out.returncode == 1, out.stderr
+        assert out.stderr == f"error: {message}\n"
+        assert not (tmp_path / "rec.epochs.csv").exists()
+
+
 class TestFit:
     def test_fit_writes_params_and_log(self, sim, capsys):
         out_params = sim["dir"] / "fit.params.txt"
@@ -397,6 +421,28 @@ class TestAsScore:
         assert code == 1
         assert "window" in err
         assert not out.exists()
+
+
+    @pytest.mark.parametrize("flags, code", [((), 1), (("--as-raw-thresholds",), 0)])
+    def test_rescoring_refuses_twenty_second_epochs(self, tmp_path, capsys, flags, code):
+        # rescoring weighs neighbours at 15, 30, 60 and 120 s epochs only;
+        # raw thresholds need no rescoring
+        prefix = tmp_path / "rec"
+        assert _run(
+            capsys, "simulate", "--t", "300", "--epoch-seconds", "20", "--out-prefix", str(prefix)
+        )[0] == 0
+        epochs = tmp_path / "rec.epochs.csv"
+        series = read_epoch_csv(epochs)
+        window = tmp_path / "window.txt"
+        _write_window(window, series, 0, 300, 0, 299)
+        out = tmp_path / "as.csv"
+        got, _, err = _run(
+            capsys, "as-score", str(epochs), "--window", str(window), "--out", str(out), *flags
+        )
+        assert got == code, err
+        assert out.exists() == (code == 0)
+        if code:
+            assert "rescoring supports epoch lengths (15, 30, 60, 120), got 20" in err
 
 
 class TestCompare:

@@ -1,5 +1,7 @@
 """Simulator tests: determinism, degenerate specs, and law-of-large-numbers checks."""
 
+import warnings
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -81,6 +83,10 @@ class TestStreamIdentity:
         "sleep_less_sticky": _params(a11=0.2, a22=0.1),
         "pi_sleep": _params(pi0=1.0),
         "pi_wake": _params(pi0=0.0),
+        # the traceback's constant and swap step maps
+        "identity_chain": _params(a11=1.0, a22=1.0),
+        "always_flip": _params(a11=0.0, a22=0.0),
+        "equal_rows": _params(a11=0.3, a22=0.7),
     }
 
     @staticmethod
@@ -104,6 +110,22 @@ class TestStreamIdentity:
         assert got[1].dtype == want[1].dtype
         assert np.array_equal(got[1].view(np.int64), want[1].view(np.int64))
         assert got[2] == want[2]  # the generator is left in the same state
+
+    @pytest.mark.parametrize("name", sorted(PARAMS))
+    def test_draws_equal_to_a_probability_match_reference(self, name):
+        # a real generator ties a[s, 0] or pi[0] with probability ~0; a draw
+        # equal to one sends the chain to Wake in both samplers
+        p = self.PARAMS[name]
+        u = np.random.Generator(np.random.PCG64(4)).choice([p.pi[0], p.a[0, 0], p.a[1, 0]], 60)
+        u[0] = p.pi[0]
+
+        class TiedDraws:
+            def random(self, n):
+                return u[:n].copy()
+
+        for t_epochs in (1, 2, 60):
+            got = _sample_states(p, t_epochs, TiedDraws())
+            assert np.array_equal(got, _reference_sample_states(p, t_epochs, TiedDraws()))
 
     def test_cases_reach_the_branches(self):
         # heavy rejection redraws most Gaussians; with a[0,0] < a[1,0]
@@ -139,6 +161,41 @@ class TestStreamIdentity:
         values = _reference_sample_log_values(states.states, params, rng)
         expected = np.maximum(np.round(np.expm1(values)), 0.0).astype(np.int64)
         assert np.array_equal(series.counts, expected)
+
+
+class TestRefusals:
+    """Parameters the sampler cannot serve are refused with InputError, with no warning."""
+
+    @pytest.mark.parametrize(
+        "state, changes",
+        [("sleep", {"mu1": -10.0, "sigma1": 1.0}), ("wake", {"mu2": -10.0, "sigma2": 1.0}),
+         ("wake", {"mu2": -3.1, "sigma2": 1.0})],
+    )
+    def test_rarely_non_negative_gaussian_refused_before_drawing(self, state, changes):
+        # P(v >= 0) = Phi(mu / sigma) is 1e-23 at mu/sigma = -10 and 9.7e-4 at
+        # -3.1: over 1,000 expected draws per value
+        params = _params(**changes)
+        with pytest.raises(InputError, match=f"the {state} Gaussian"):
+            simulate(SimSpec(params, 10))
+        with pytest.raises(InputError, match=f"the {state} Gaussian"):
+            simulate_from_states(from_letters("SW" * 5, 30), params)
+
+    def test_gaussian_just_above_the_limit_accepted(self):
+        # Phi(-3.0) = 1.3e-3: about 740 draws per value
+        series, _ = simulate(SimSpec(_params(mu2=-3.0, sigma2=1.0), 5, seed=1))
+        assert np.all(series.counts >= 0)
+
+    @pytest.mark.parametrize("mu2", [42.0, 50.0, 1000.0])
+    def test_count_above_int64_refused(self, mu2):
+        # e**43.67 is 2**63; at mu2 = 1000 expm1 overflows to inf
+        params = _params(mu2=mu2, sigma2=1.0)
+        states = from_letters("W" * 2000, 30)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match=r"count is above 2\*\*63 - 1"):
+                simulate(SimSpec(params, 2000, seed=2))
+            with pytest.raises(InputError, match=r"count is above 2\*\*63 - 1"):
+                simulate_from_states(states, params, seed=2)
 
 
 class TestDeterminism:
