@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import math
 import os
 import sys
@@ -364,6 +365,10 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    if argv is None:
+        # a process of its own: spare the collections in the run, and the one
+        # at exit, from walking numpy's import graph; library callers keep theirs
+        gc.freeze()
     args = build_parser().parse_args(argv)
     try:
         payload = args.func(args)

@@ -149,11 +149,12 @@ def _trunc_stats(o, wt) -> tuple[float, float, float]:
     """Weight, weighted mean and weighted variance of the observations.
 
     The weighted Gaussian and truncated-normal log-likelihoods depend on
-    the data only through these three numbers.
+    the data only through these three numbers.  They are numpy sums, not
+    BLAS dot products, whose summation order follows the BLAS thread count.
     """
     w = float(np.sum(wt))
-    mean = float(np.dot(wt, o) / w)
-    return w, mean, float(np.dot(wt, (o - mean) ** 2) / w)
+    mean = float(np.sum(wt * o) / w)
+    return w, mean, float(np.sum(wt * (o - mean) ** 2) / w)
 
 
 def _trunc_loglik(mu: float, sigma: float, stats) -> float:

@@ -186,6 +186,16 @@ def posterior_marginals(obs: LogSeries, params: HmmParams) -> np.ndarray:
     return gamma
 
 
+def _percentile(values: np.ndarray, q: float) -> float:
+    """``np.percentile(values, q)`` bit for bit, without numpy's quantile
+    code, whose ``np.unique`` imports ``numpy.ma`` at its first call."""
+    g = (values.size - 1) * (q / 100)
+    i, j = int(g), min(int(g) + 1, values.size - 1)
+    a, b = np.partition(values, (i, j))[[i, j]].tolist()
+    g -= i
+    return b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g
+
+
 def default_init(obs: LogSeries) -> HmmParams:
     """Deterministic moment-based initialization for Baum-Welch.
 
@@ -197,8 +207,8 @@ def default_init(obs: LogSeries) -> HmmParams:
     if nonzero.size == 0:
         mu1, mu2 = 1.0, 3.0
     else:
-        q40 = np.percentile(nonzero, 40)
-        q60 = np.percentile(nonzero, 60)
+        q40 = _percentile(nonzero, 40)
+        q60 = _percentile(nonzero, 60)
         low = nonzero[nonzero < q40]
         mu1 = float(low.mean()) if low.size else 1.0
         high = nonzero[nonzero > q60]

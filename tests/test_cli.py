@@ -1,6 +1,7 @@
 """End-to-end CLI tests: pipeline wiring, exit codes, determinism."""
 
 import csv
+import gc
 import hashlib
 import inspect
 import json
@@ -579,8 +580,9 @@ class TestCompare:
 class TestGoldenBytes:
     """Pinned output hashes: a change to what the pipeline writes is explicit.
 
-    The fitted parameter file is left out, because BLAS summation order
-    can change its last digits; the labels decoded from it are pinned.
+    The fitted parameter file is left out, because numpy's summation
+    kernels differ across CPUs and can change its last digits; the labels
+    decoded from it are pinned.
     """
 
     GOLDEN = {
@@ -902,7 +904,8 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
             assert (tmp_path / name).exists()
 
     def test_score_child_loads_no_metrics_verify_or_json(self, sim):
-        # metrics, verify and json load on first use (compare, verify, --json)
+        # metrics, verify and json load on first use (compare, verify, --json),
+        # and the inline fit's percentiles do not go through numpy.ma
         code = f"""
 import sys
 from actisleep import cli
@@ -912,7 +915,8 @@ for argv in (
      "--out", {str(sim["dir"] / "given.csv")!r}],
 ):
     assert cli.main(argv) == 0, argv
-print(sorted(m for m in ("actisleep.metrics", "actisleep.verify", "json") if m in sys.modules))
+modules = ("actisleep.metrics", "actisleep.verify", "json", "numpy.ma")
+print(sorted(m for m in modules if m in sys.modules))
 """
         src = str(Path(cli.__file__).resolve().parents[1])
         out = subprocess.run(
@@ -956,6 +960,65 @@ print("ok")
             env={**os.environ, "PYTHONPATH": src},
         ).stdout
         assert out.strip() == "ok"
+
+
+class TestOwnProcess:
+    """``main()`` run on the process's own command line, as a child of its own."""
+
+    @staticmethod
+    def _child(args, **env):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        return subprocess.run(
+            [sys.executable, *args], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src, **env},
+        )
+
+    def test_only_the_own_command_line_freezes_the_collector(self, sim, capsys):
+        before = gc.get_freeze_count()
+        argv = ["score", str(sim["epochs"]), "--out", str(sim["dir"] / "p.csv")]
+        assert _run(capsys, *argv)[0] == 0
+        assert gc.get_freeze_count() == before
+        code = f"""
+import gc, sys
+from actisleep import cli
+sys.argv = ["actisleep", *{argv!r}]
+assert cli.main() == 0
+print(gc.get_freeze_count() > 0)
+"""
+        assert self._child(["-c", code]).stdout.strip() == "True"
+
+    def test_module_run_prints_one_json_object(self, sim):
+        out = str(sim["dir"] / "p.csv")
+        done = self._child(["-m", "actisleep.cli", "score", str(sim["epochs"]), "--out", out,
+                            "--json"])
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.count("\n") == 1
+        assert json.loads(done.stdout) == {
+            "command": "score",
+            "labels": out,
+            "epochs": 2000,
+            "sleep_epochs": int(np.sum(read_label_csv(out, 2000).states == 0)),
+        }
+        done = self._child(["-m", "actisleep.cli", "score", str(sim["dir"] / "nope.csv"),
+                            "--out", out, "--json"])
+        assert (done.returncode, done.stdout) == (2, "")
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs 2 CPUs for 2 BLAS threads")
+    def test_fit_does_not_depend_on_the_blas_thread_count(self, tmp_path, capsys):
+        # a week, long enough for OpenBLAS to split a dot product across threads
+        prefix = str(tmp_path / "week")
+        argv = ["simulate", "--t", "20160", "--seed", "1", "--out-prefix", prefix]
+        assert _run(capsys, *argv)[0] == 0
+        written = []
+        for threads in ("1", "2"):
+            params = tmp_path / f"fit{threads}.txt"
+            done = self._child(
+                ["-m", "actisleep.cli", "fit", prefix + ".epochs.csv", "--out-params", str(params)],
+                OPENBLAS_NUM_THREADS=threads,
+            )
+            assert done.returncode == 0, done.stderr
+            written.append(params.read_bytes())
+        assert written[0] == written[1]
 
 
 class TestUsageErrors:

@@ -586,6 +586,22 @@ class TestDefaultInit:
         assert p1.wake == p2.wake
         assert np.array_equal(p1.a, p2.a)
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        st.one_of(
+            st.lists(st.floats(0.0, 12.0), min_size=1, max_size=400),
+            # log counts: many ties
+            st.lists(st.integers(1, 6).map(lambda c: np.log(c + 1.0)), min_size=1, max_size=400),
+        ),
+        st.sampled_from([40, 60]),
+    )
+    @example([2.5], 40)
+    @example([0.5, 1.5], 60)
+    def test_percentile_is_numpys_bitwise(self, values, q):
+        values = np.array(values)
+        expected = np.percentile(values, q)
+        assert np.float64(hmm._percentile(values, q)).tobytes() == expected.tobytes()
+
 
 class TestBaumWelch:
     def test_trace_non_decreasing(self):
@@ -796,8 +812,8 @@ class TestBaumWelch:
     def test_wake_m_step_is_the_two_pass_weighted_moments_bitwise(self, t_epochs):
         def two_pass(o, w):
             wsum = np.sum(w)
-            mu = float(np.dot(w, o) / wsum)
-            var = float(np.dot(w, (o - mu) ** 2) / wsum)
+            mu = float(np.sum(w * o) / wsum)
+            var = float(np.sum(w * (o - mu) ** 2) / wsum)
             return WakeEmission(mu2=mu, sigma2=float(max(np.sqrt(var), SIGMA_FLOOR)))
 
         same = []
