@@ -3,12 +3,13 @@
 State index 0 is sleep (zero-inflated truncated Gaussian emission),
 index 1 is wake (Gaussian emission); the labeling convention mu1 < mu2
 is enforced after fitting.  The forward-backward pass uses Rabiner's
-per-step normalization, or log space where that meets a zero scale, and
-returns the expected transition counts summed over time rather than
-per-step pairwise posteriors; Viterbi runs in pure log space with ties
-broken toward sleep.  With two states, both recursions run as loops
-over plain Python floats read from and written to numpy arrays through
-``memoryview``s; the Viterbi traceback is integer array work.
+per-step normalization, or log space where a scale is not a normal float
+or a backward variable is not finite, and returns the expected
+transition counts summed over time rather than per-step pairwise
+posteriors; Viterbi runs in pure log space with ties broken toward
+sleep.  With two states, both recursions run as loops over plain Python
+floats read from and written to numpy arrays through ``memoryview``s;
+the Viterbi traceback is integer array work.
 """
 
 from __future__ import annotations
@@ -107,8 +108,11 @@ def _forward_backward(obs: LogSeries, params: HmmParams):
     state posteriors and xi_sum the (2, 2) expected transition counts,
     i.e. the pairwise posteriors P(s_t = i, s_t+1 = j) summed over t.
     The two sequential recursions run over Python floats; xi_sum is one
-    vectorized step and no per-epoch (T-1, 2, 2) array is built.  A zero
-    scale hands the pass to ``_log_forward_backward``.
+    vectorized step and no per-epoch (T-1, 2, 2) array is built.  The pass
+    hands over to ``_log_forward_backward`` when a scale is not a normal
+    float (a zero scale is stored as NaN) or a backward variable is not
+    finite: forward mass lost to underflow can move the likelihood only
+    where the later epochs favor it enough to overflow its beta.
     """
     logb, log_a, log_pi = log_terms(obs, params)
     T = logb.shape[1]
@@ -121,21 +125,13 @@ def _forward_backward(obs: LogSeries, params: HmmParams):
     alpha = np.empty((2, T))
     c = np.empty(T)
     al0, al1, cv = memoryview(alpha[0]), memoryview(alpha[1]), memoryview(c)
-    pi0, pi1 = params.pi.tolist()
-    try:
-        p0, p1 = pi0 * b0[0], pi1 * b1[0]
-        ct = p0 + p1
+    q0, q1 = params.pi.tolist()  # each state's predicted forward mass
+    for t in range(T):
+        p0, p1 = q0 * b0[t], q1 * b1[t]
+        ct = p0 + p1 or np.nan
         x0, x1 = p0 / ct, p1 / ct
-        al0[0], al1[0], cv[0] = x0, x1, ct
-        for t in range(1, T):
-            p0 = (x0 * a00 + x1 * a10) * b0[t]
-            p1 = (x0 * a01 + x1 * a11) * b1[t]
-            ct = p0 + p1
-            x0, x1 = p0 / ct, p1 / ct
-            al0[t], al1[t], cv[t] = x0, x1, ct
-    except ZeroDivisionError:  # every state with forward mass underflowed
-        return _log_forward_backward(logb, log_a, log_pi)
-    log_likelihood = float(np.sum(np.log(c)) + np.sum(shift))
+        al0[t], al1[t], cv[t] = x0, x1, ct
+        q0, q1 = x0 * a00 + x1 * a10, x0 * a01 + x1 * a11
 
     beta = np.empty((2, T))
     be0, be1 = memoryview(beta[0]), memoryview(beta[1])
@@ -145,6 +141,9 @@ def _forward_backward(obs: LogSeries, params: HmmParams):
         y0, y1, ct = b0[t] * z0, b1[t] * z1, cv[t]
         z0, z1 = (a00 * y0 + a01 * y1) / ct, (a10 * y0 + a11 * y1) / ct
         be0[t - 1], be1[t - 1] = z0, z1
+    if not c.min() >= np.finfo(np.float64).tiny or not np.isfinite(beta).all():
+        return _log_forward_backward(logb, log_a, log_pi)
+    log_likelihood = float(np.sum(np.log(c)) + np.sum(shift))
 
     gamma = (alpha * beta).T
     gamma /= gamma.sum(axis=1, keepdims=True)
@@ -158,8 +157,9 @@ def _forward_backward(obs: LogSeries, params: HmmParams):
 
 
 def _log_forward_backward(logb, log_a, log_pi):
-    """``_forward_backward`` in log space, for an exact 0 in ``pi`` or ``a``
-    that leaves only states whose densities underflow to a zero scale."""
+    """``_forward_backward`` in log space, for parameters (such as an exact 0
+    in ``pi`` or ``a``) under which the scaled pass yields a scale that is
+    not a normal float or a backward variable that is not finite."""
     log_alpha, log_beta = np.empty_like(logb), np.zeros_like(logb)
     log_alpha[:, 0] = log_pi + logb[:, 0]
     for t in range(1, logb.shape[1]):  # log of the sum over i of alpha[i] a[i, j]

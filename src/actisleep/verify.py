@@ -8,8 +8,8 @@ instance once, and read from that one table of path scores the checks of
 the scaled forward likelihood, the posterior marginals and the Viterbi
 decode, which passes when it reaches the enumerated maximum score (any
 tied path does); they also check EM ascent on a few simulated series.
-The check functions are injectable so tests can demonstrate that a
-faulty implementation is caught.
+Each check looks up its ``hmm`` function at call time, so a test shows
+that a faulty implementation is caught by patching that function.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ FORWARD_REL_TOL = 1e-10
 POSTERIOR_TOL = 1e-10
 EM_ASCENT_TOL = 1e-9
 BRUTE_FORCE_MAX_T = 16
+EM_RUNS = 5
 
 
 def score_paths(obs: LogSeries, params: hmm.HmmParams, paths: np.ndarray) -> np.ndarray:
@@ -158,23 +159,12 @@ _ORACLE_CHECKS = (
 )
 
 
-def run_verification(
-    trials: int = 500,
-    max_t: int = 12,
-    seed: int = 0,
-    forward_fn=None,
-    viterbi_fn=None,
-    posterior_fn=None,
-    em_runs: int = 5,
-) -> VerifyReport:
+def run_verification(trials: int = 500, max_t: int = 12, seed: int = 0) -> VerifyReport:
     check_seed(seed)
     if trials < 0:
         raise InputError("trials must be >= 0")
     if not 1 <= max_t <= BRUTE_FORCE_MAX_T:
         raise InputError(f"max_t must be in [1, {BRUTE_FORCE_MAX_T}]")
-    forward_fn = forward_fn or hmm.forward_log_likelihood
-    viterbi_fn = viterbi_fn or hmm.viterbi
-    posterior_fn = posterior_fn or hmm.posterior_marginals
     rng = np.random.Generator(np.random.PCG64(seed))
 
     instance_seeds = rng.integers(0, 2**63 - 1, size=trials)
@@ -185,13 +175,14 @@ def run_verification(
         obs, params = random_instance(inst_rng, max_t)
         logp, paths = _path_log_probs(obs, params)
         exact = _logsumexp(logp)
-        forward_err = abs(forward_fn(obs, params) - exact) / max(1.0, abs(exact))
+        forward_err = abs(hmm.forward_log_likelihood(obs, params) - exact) / max(1.0, abs(exact))
         # row of the decoded path in the lexicographic path table
-        row = viterbi_fn(obs, params).states @ (1 << np.arange(len(obs) - 1, -1, -1))
+        row = hmm.viterbi(obs, params).states @ (1 << np.arange(len(obs) - 1, -1, -1))
         # adjacent equal observations can tie two paths exactly; the
         # decode is correct if it attains the enumeration max
         decode_gap = logp.max() - logp[row]
-        posterior_err = np.max(np.abs(posterior_fn(obs, params) - _posteriors(logp, paths)))
+        gamma = hmm.posterior_marginals(obs, params)
+        posterior_err = np.max(np.abs(gamma - _posteriors(logp, paths)))
         errors = (forward_err, decode_gap, float(posterior_err))
         for k, (err, (_, tol, _)) in enumerate(zip(errors, _ORACLE_CHECKS)):
             worst[k] = max(worst[k], err)
@@ -205,7 +196,7 @@ def run_verification(
         checks.append(CheckResult(name, bad_seed is None, "; ".join(parts) or "paths identical"))
 
     em_bad = None
-    for k in range(em_runs):
+    for _ in range(EM_RUNS):
         em_seed = int(rng.integers(0, 2**31))
         series, _ = simulate(
             SimSpec(params=reference_params(), t_epochs=500, seed=em_seed)

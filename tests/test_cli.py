@@ -608,6 +608,53 @@ class TestGoldenBytes:
         assert got == self.GOLDEN
 
 
+class TestGoldenFit:
+    """The fit of the golden recording, pinned where ``TestGoldenBytes`` is not.
+
+    The params file's last digits can differ across CPUs, so its bytes are
+    not pinned: its iteration count is pinned exactly, and its parameters
+    to a relative 1e-9, or an absolute 1e-15 for the near-zero pi_sleep.
+    A different count means the EM trajectory flipped its stop test; a
+    parameter outside its tolerance at the same count means the E-step or
+    M-step arithmetic changed.
+    """
+
+    ITERATIONS = 5
+    PARAMS = {
+        "a11": 0.96149880341441851,
+        "a12": 0.03850119658558139,
+        "a21": 0.055695778348864071,
+        "a22": 0.94430422165113592,
+        "pi_sleep": 3.7402172223487278e-12,
+        "pi_wake": 0.99999999999625977,
+        "alpha": 0.73198899928041605,
+        "mu1": 2.5807695380316438,
+        "sigma1": 1.0591891361800103,
+        "mu2": 4.8095735240836754,
+        "sigma2": 0.87711825892172302,
+    }
+
+    def test_fit(self, tmp_path, capsys):
+        assert _run(
+            capsys,
+            "simulate", "--t", "2880", "--seed", "7", "--out-prefix", str(tmp_path / "rec"),
+        )[0] == 0
+        assert _run(
+            capsys,
+            "fit", str(tmp_path / "rec.epochs.csv"), "--out-params", str(tmp_path / "fit.txt"),
+        )[0] == 0
+        log_keys = ("iterations", "final_log_likelihood", "converged", "states_swapped")
+        log = read_key_values(tmp_path / "fit.log", log_keys, str)
+        assert (log["iterations"], log["converged"]) == (str(self.ITERATIONS), "true")
+        got = read_key_values(tmp_path / "fit.txt", tuple(self.PARAMS), float)
+        expected = {
+            key: pytest.approx(value, abs=1e-15) if key == "pi_sleep"
+            else pytest.approx(value, rel=1e-9, abs=0)
+            for key, value in self.PARAMS.items()
+        }
+        assert got == expected
+
+
 class TestVerify:
     def test_clean_run_exits_0(self, capsys):
         code, _, err = _run(capsys, "verify", "--trials", "50")

@@ -288,50 +288,96 @@ def _xi_sum_enumerated(obs, params):
     ])
 
 
-def _zero_scale_instance(rng):
-    """T <= 16 epochs under parameters with an exact 0 in pi and in a row of
-    a, and emissions so narrow that most observations put one state's
-    density out of float range of the other's: most such instances drive
-    the scaled forward pass to a zero scale."""
+def _exact_zero_instance(rng):
+    """T <= 16 epochs under parameters with an exact 0: either a unit row
+    in a (a state that never leaves, or always leaves) with any pi, or a
+    positive a with a unit pi.  One emission is narrow (sigma 0.003-0.03)
+    and the other may be wider (0.003-0.3), and most observations lie near
+    a state's mean, so one state's density is often out of float range of
+    the other's, in one direction or both: the scaled pass then meets a
+    zero or subnormal scale, or a lineage lost to underflow."""
     t = int(rng.integers(2, BRUTE_FORCE_MAX_T + 1))
     stay = rng.uniform(0.05, 0.95, size=2)
     a = np.array([[stay[0], 1 - stay[0]], [1 - stay[1], stay[1]]])
-    a[rng.integers(2)] = np.eye(2)[rng.integers(2)]
-    mu1 = rng.uniform(0.0, 1.0)
+    if rng.random() < 2 / 3:
+        a[rng.integers(2)] = np.eye(2)[rng.integers(2)]
+        pi_sleep = (0.0, 1.0, 0.5, rng.uniform(0.05, 0.95))[rng.integers(4)]
+    else:
+        pi_sleep = float(rng.integers(2))
+    sigma = rng.permutation([10 ** rng.uniform(-2.5, -1.5), 10 ** rng.uniform(-2.5, -0.5)])
+    mu = np.array([0.0, rng.uniform(1.0, 3.0)]) + rng.uniform(0.0, 1.0)
     params = HmmParams(
         a=a,
-        sleep=SleepEmission(
-            alpha=rng.uniform(0.05, 0.95), mu1=mu1, sigma1=rng.uniform(0.005, 0.02)
-        ),
-        wake=WakeEmission(mu2=mu1 + rng.uniform(2.0, 4.0), sigma2=rng.uniform(0.005, 0.05)),
-        pi=np.eye(2)[rng.integers(2)],
+        sleep=SleepEmission(alpha=rng.uniform(0.05, 0.95), mu1=mu[0], sigma1=sigma[0]),
+        wake=WakeEmission(mu2=mu[1], sigma2=sigma[1]),
+        pi=np.array([pi_sleep, 1 - pi_sleep]),
     )
-    values = rng.uniform(0.0, 6.0, size=t)
+    states = rng.integers(2, size=t)
+    values = np.maximum(mu[states] + sigma[states] * rng.normal(size=t), 0.0)
     values[rng.random(t) < 0.3] = 0.0
     return LogSeries(values, 30), params
 
 
+def _assert_matches_enumeration(obs, params):
+    """Check ``_forward_backward`` on one instance against the enumeration;
+    return whether it handed over to ``_log_forward_backward``."""
+    with mock.patch.object(
+        hmm, "_log_forward_backward", wraps=hmm._log_forward_backward
+    ) as log_space:
+        log_likelihood, gamma, xi_sum = _forward_backward(obs, params)
+    assert np.isfinite(log_likelihood)
+    assert np.all(np.isfinite(gamma)) and np.all(np.isfinite(xi_sum))
+    # log-likelihoods here reach -1e6, where the float enumeration is
+    # itself off an exact one: errors are relative to max(1, |exact|)
+    exact = brute_force_likelihood(obs, params)
+    scale = max(1.0, abs(exact))
+    assert abs(log_likelihood - exact) <= FORWARD_REL_TOL * scale
+    gap = np.max(np.abs(gamma - brute_force_posteriors(obs, params)))
+    assert gap <= POSTERIOR_TOL * scale
+    gap = np.max(np.abs(xi_sum - _xi_sum_enumerated(obs, params)))
+    assert gap <= POSTERIOR_TOL * scale
+    return log_space.called
+
+
 class TestLogSpaceFallback:
-    def test_zero_scale_instances_match_enumeration(self):
-        # log-likelihoods here reach -1e9, where the float enumeration is
-        # itself ~1e-7 off an exact one: errors are relative to max(1, |exact|)
+    def test_exact_zero_instances_match_enumeration(self):
         rng = np.random.Generator(np.random.PCG64(20))
-        reached = 0
-        for _ in range(40):
-            obs, params = _zero_scale_instance(rng)
-            with mock.patch.object(
-                hmm, "_log_forward_backward", wraps=hmm._log_forward_backward
-            ) as log_space:
-                log_likelihood, gamma, xi_sum = _forward_backward(obs, params)
-            reached += log_space.called
-            exact = brute_force_likelihood(obs, params)
-            scale = max(1.0, abs(exact))
-            assert abs(log_likelihood - exact) <= FORWARD_REL_TOL * scale
-            gap = np.max(np.abs(gamma - brute_force_posteriors(obs, params)))
-            assert gap <= POSTERIOR_TOL * scale
-            gap = np.max(np.abs(xi_sum - _xi_sum_enumerated(obs, params)))
-            assert gap <= POSTERIOR_TOL * scale
-        assert reached >= 30
+        reached = sum(_assert_matches_enumeration(*_exact_zero_instance(rng)) for _ in range(150))
+        assert reached >= 85  # 96 of the 150 at this seed
+
+    @pytest.mark.parametrize("t", [3, 5, 7, 9])
+    def test_absorbing_wake_matches_enumeration(self, t):
+        # the first epoch leaves sleep's forward mass at 0; wake never
+        # leaves, so the scaled pass stays in wake while the sleep lineage
+        # it lost explains the rest: its beta overflows
+        params = HmmParams(
+            a=np.array([[0.9, 0.1], [0.0, 1.0]]),
+            sleep=SleepEmission(alpha=0.5, mu1=2.17, sigma1=0.05),
+            wake=WakeEmission(mu2=5.0, sigma2=0.1),
+            pi=np.array([0.5, 0.5]),
+        )
+        obs = LogSeries(np.array([5.0] + [2.17] * (t - 1)), 30)
+        assert _assert_matches_enumeration(obs, params)
+
+    def test_subnormal_scale_matches_enumeration(self):
+        # sleep holds all of pi, and its density at the first epoch is
+        # e^-744.2 of wake's: the first scale is subnormal
+        params = HmmParams(
+            a=np.array([[0.5, 0.5], [0.5, 0.5]]),
+            sleep=SleepEmission(alpha=0.5, mu1=1.0, sigma1=0.05),
+            wake=WakeEmission(mu2=3.0, sigma2=1.0),
+            pi=np.array([1.0, 0.0]),
+        )
+        assert _assert_matches_enumeration(LogSeries(np.array([2.932, 1.0]), 30), params)
+
+    def test_simulated_week_fit_stays_scaled(self):
+        series, _ = simulate(SimSpec(params=reference_params(), t_epochs=20160, seed=3))
+        obs = log_transform(series)
+        with mock.patch.object(
+            hmm, "_log_forward_backward", wraps=hmm._log_forward_backward
+        ) as log_space:
+            baum_welch(obs, default_init(obs))
+        log_space.assert_not_called()
 
     def test_agrees_with_scaled_pass_on_random_instances(self):
         rng = np.random.Generator(np.random.PCG64(21))

@@ -1,6 +1,7 @@
 """Self-verification tests: the clean implementation passes, faults are caught."""
 
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -58,43 +59,45 @@ class TestArguments:
         ],
         ids=["seed", "trials", "max_t_0", "max_t_above_oracle"],
     )
-    def test_refused(self, kwargs):
+    def test_refused(self, kwargs, monkeypatch):
+        # a run that got past the checks would reach the EM runs
+        monkeypatch.setattr(hmm, "baum_welch", mock.Mock(side_effect=AssertionError))
         with pytest.raises(InputError):
-            run_verification(**{"trials": 50, "em_runs": 0, **kwargs})
+            run_verification(**{"trials": 50, **kwargs})
 
 
 class TestFaultInjection:
-    def test_biased_forward_caught(self):
-        def bad_forward(obs, params):
-            return hmm.forward_log_likelihood(obs, params) + 1e-6
-
-        report = run_verification(trials=50, forward_fn=bad_forward, em_runs=0)
+    def test_biased_forward_caught(self, monkeypatch):
+        real = hmm.forward_log_likelihood
+        monkeypatch.setattr(hmm, "forward_log_likelihood", lambda obs, p: real(obs, p) + 1e-6)
+        report = run_verification(trials=50)
         by_name = {c.name: c for c in report.checks}
         assert not by_name["forward vs enumeration"].passed
         assert by_name["posteriors vs enumeration"].passed
 
-    def test_flipped_viterbi_caught(self):
+    def test_flipped_viterbi_caught(self, monkeypatch):
+        real = hmm.viterbi
+
         def bad_viterbi(obs, params):
-            path = hmm.viterbi(obs, params)
+            path = real(obs, params)
             return StateSequence(1 - path.states, path.epoch_seconds)
 
-        report = run_verification(trials=50, viterbi_fn=bad_viterbi, em_runs=0)
+        monkeypatch.setattr(hmm, "viterbi", bad_viterbi)
+        report = run_verification(trials=50)
         by_name = {c.name: c for c in report.checks}
         assert not by_name["viterbi vs enumeration"].passed
 
-    def test_unnormalized_posteriors_caught(self):
-        def bad_posteriors(obs, params):
-            return hmm.posterior_marginals(obs, params) * 1.001
-
-        report = run_verification(trials=50, posterior_fn=bad_posteriors, em_runs=0)
+    def test_unnormalized_posteriors_caught(self, monkeypatch):
+        real = hmm.posterior_marginals
+        monkeypatch.setattr(hmm, "posterior_marginals", lambda obs, p: real(obs, p) * 1.001)
+        report = run_verification(trials=50)
         by_name = {c.name: c for c in report.checks}
         assert not by_name["posteriors vs enumeration"].passed
 
-    def test_failure_reports_instance_seed(self):
-        def bad_forward(obs, params):
-            return hmm.forward_log_likelihood(obs, params) + 1.0
-
-        report = run_verification(trials=20, forward_fn=bad_forward, em_runs=0)
+    def test_failure_reports_instance_seed(self, monkeypatch):
+        real = hmm.forward_log_likelihood
+        monkeypatch.setattr(hmm, "forward_log_likelihood", lambda obs, p: real(obs, p) + 1.0)
+        report = run_verification(trials=20)
         detail = {c.name: c.detail for c in report.checks}["forward vs enumeration"]
         assert "instance seed" in detail
 
