@@ -163,11 +163,6 @@ def _as_utc(ts: datetime) -> datetime:
     return ts.replace(tzinfo=timezone.utc) if ts.tzinfo is None else ts.astimezone(timezone.utc)
 
 
-def format_timestamp(ts: datetime) -> str:
-    """``YYYY-MM-DDTHH:MM:SSZ`` in UTC, the year zero-padded to four digits."""
-    return _as_utc(ts).replace(tzinfo=None).isoformat(timespec="seconds") + "Z"
-
-
 @contextmanager
 def _open_text(path):
     """Open a text input as UTF-8; a decode error becomes a FormatError."""
@@ -438,7 +433,7 @@ def _rows_bytes(block: np.ndarray, row: np.ndarray, at: int, numbers: np.ndarray
 
 
 def write_epoch_csv(series: EpochSeries, path) -> None:
-    """Write ``timestamp,count`` rows; row i is ``format_timestamp(series.timestamp(i))``."""
+    """Write ``timestamp,count`` rows; row i holds ``series.timestamp(i)`` in UTC as _STAMP."""
     # Sub-second parts are truncated on output and every step is whole
     # seconds, so the rows count on from the truncated start time.
     base = (series.start_time.replace(microsecond=0) - _UNIX_EPOCH) // _ONE_SECOND

@@ -46,11 +46,6 @@ def score_paths(obs: LogSeries, params: hmm.HmmParams, paths: np.ndarray) -> np.
     return logp
 
 
-def path_log_probability(obs: LogSeries, params: hmm.HmmParams, states: StateSequence) -> float:
-    """log P(states, observations | params) for one explicit path."""
-    return float(score_paths(obs, params, states.states[None, :])[0])
-
-
 def _path_log_probs(obs: LogSeries, params: hmm.HmmParams) -> tuple[np.ndarray, np.ndarray]:
     """Scores of all 2^T paths and the (2^T, T) paths in lexicographic order."""
     T = len(obs)

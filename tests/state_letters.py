@@ -1,4 +1,7 @@
-"""Sleep/wake paths written as letters in tests: "S" is sleep, "W" wake."""
+"""Test helpers: sleep/wake paths written as letters ("S" is sleep, "W"
+wake), and the timestamp form of the epoch CSV."""
+
+from datetime import datetime, timezone
 
 import numpy as np
 
@@ -11,3 +14,11 @@ def from_letters(letters, epoch_seconds: int = 30) -> StateSequence:
 
 def to_letters(states: StateSequence) -> list[str]:
     return ["SW"[s] for s in states.states.tolist()]
+
+
+def format_timestamp(ts: datetime) -> str:
+    """``YYYY-MM-DDTHH:MM:SSZ`` in UTC, the year zero-padded to four digits;
+    a naive ``ts`` is UTC.  The reference for the epoch writer's stamps."""
+    if ts.tzinfo is not None:
+        ts = ts.astimezone(timezone.utc).replace(tzinfo=None)
+    return ts.isoformat(timespec="seconds") + "Z"

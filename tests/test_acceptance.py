@@ -59,7 +59,7 @@ from actisleep.series import (
 from actisleep.simulate import DEFAULT_START_TIME, _sample_states, sample_log_values
 from actisleep.verify import random_instance
 
-from state_letters import from_letters, to_letters
+from state_letters import format_timestamp, from_letters, to_letters
 
 TRUE = reference_params()
 TRUTH_EM = dict(alpha=0.731, mu1=2.486, sigma1=1.248, mu2=4.803, sigma2=0.866)
@@ -121,7 +121,7 @@ class TestCriterion2Viterbi:
         # zero observations create paths tied in exact arithmetic; there
         # the decode must still attain the enumeration maximum exactly,
         # and the Sleep-first rule is checked on constructed exact ties.
-        from actisleep.verify import _path_log_probs, path_log_probability
+        from actisleep.verify import _path_log_probs
 
         start = time.perf_counter()
         rng = np.random.Generator(np.random.PCG64(2))
@@ -135,7 +135,7 @@ class TestCriterion2Viterbi:
             logp, _ = _path_log_probs(obs, params)
             best = np.max(logp)
             assert np.sum(logp == best) > 1, "paths differ without an exact tie"
-            assert path_log_probability(obs, params, got) == best
+            assert verify.score_paths(obs, params, got.states[None, :])[0] == best
             n_tied += 1
         elapsed = time.perf_counter() - start
         ok = elapsed < 10.0 and n_tied <= 5
@@ -445,7 +445,7 @@ class TestCriterion11Determinism:
             window = d / "window.txt"
             from datetime import timedelta
 
-            from actisleep.series import format_timestamp, read_epoch_csv
+            from actisleep.series import read_epoch_csv
 
             series = read_epoch_csv(epochs)
 

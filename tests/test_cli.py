@@ -15,7 +15,9 @@ import numpy as np
 import pytest
 
 from actisleep import AsConfig, cli, hmm, log_transform, read_epoch_csv, read_label_csv, smooth
-from actisleep.series import format_timestamp, read_key_values
+from actisleep.series import read_key_values
+
+from state_letters import format_timestamp
 
 
 def _run(capsys, *argv):
@@ -250,6 +252,13 @@ class TestFit:
         payload = json.loads(out)
         assert payload["states_swapped"] is True and log["states_swapped"] == "true"
         assert payload["final_log_likelihood"] == float(log["final_log_likelihood"])
+        # the parameters written score what the .log reports, with proper posteriors
+        obs = log_transform(read_epoch_csv(epochs))
+        params = hmm.read_params(out_params)
+        assert hmm.forward_log_likelihood(obs, params) == float(log["final_log_likelihood"])
+        gamma = hmm.posterior_marginals(obs, params)
+        assert np.all(np.isfinite(gamma))
+        assert np.all(np.abs(gamma.sum(axis=1) - 1.0) <= 1e-12)
         code, out, _ = _run(
             capsys, "score", str(epochs), "--out", str(tmp_path / "labels.csv"), "--json"
         )
