@@ -17,7 +17,7 @@ import pytest
 from actisleep import AsConfig, cli, hmm, log_transform, read_epoch_csv, read_label_csv, smooth
 from actisleep.series import read_key_values
 
-from state_letters import format_timestamp
+from state_letters import format_timestamp, restamped
 
 
 def _run(capsys, *argv):
@@ -284,6 +284,16 @@ class TestScore:
         )[0] == 0
         assert two_step.read_bytes() == inline.read_bytes()
 
+    @pytest.mark.parametrize("form, eol", [("Z", "\r\n"), ("naive", "\n"), ("+01:00", "\n")])
+    def test_other_epoch_forms_score_the_same(self, sim, capsys, form, eol):
+        other = sim["dir"] / "other.epochs.csv"
+        other.write_bytes(restamped(sim["epochs"].read_text(), form, eol).encode())
+        for flags in (("--params", str(sim["params"])), ()):
+            outs = [sim["dir"] / "written.csv", sim["dir"] / "other.csv"]
+            for epochs, out in zip((sim["epochs"], other), outs):
+                assert _run(capsys, "score", str(epochs), *flags, "--out", str(out))[0] == 0
+            assert outs[0].read_bytes() == outs[1].read_bytes()
+
     def test_min_minutes_zero_skips_smoothing(self, sim, capsys):
         from actisleep import log_transform, viterbi
 
@@ -483,6 +493,17 @@ class TestCompare:
         assert [line.split(",")[0] for line in lines[1:]] == ["rec.epochs"]
         acc = float(lines[1].split(",")[header.index("pred_accuracy")])
         assert 0.5 < acc <= 1.0
+        # a truth file with CRLF line ends gives the same report
+        crlf = sim["dir"] / "crlf.labels.csv"
+        crlf.write_bytes(sim["labels"].read_bytes().replace(b"\n", b"\r\n"))
+        again = sim["dir"] / "again.csv"
+        assert _run(
+            capsys,
+            "compare", "--truth", str(crlf), "--pred", str(pred),
+            "--epochs", str(sim["epochs"]), "--window", str(window),
+            "--out", str(again),
+        )[0] == 0
+        assert again.read_bytes() == out.read_bytes()
 
     def _compare(self, sim, capsys, preds):
         series = read_epoch_csv(sim["epochs"])

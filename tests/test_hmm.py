@@ -358,7 +358,8 @@ class TestLogSpaceFallback:
             pi=np.array([0.5, 0.5]),
         )
         obs = LogSeries(np.array([5.0] + [2.17] * (t - 1)), 30)
-        assert _assert_matches_enumeration(obs, params) == (t >= 3)
+        reached = _assert_matches_enumeration(obs, params)
+        assert reached or t < 3
         gamma = posterior_marginals(obs, params)
         assert np.all(np.abs(gamma.sum(axis=1) - 1.0) <= 1e-12)
 

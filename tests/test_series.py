@@ -32,7 +32,7 @@ from actisleep import series as series_module
 from actisleep.errors import EmptyInputError, FormatError, InputError
 from actisleep.series import parse_timestamp, read_key_values, write_key_values
 
-from state_letters import format_timestamp, from_letters, to_letters
+from state_letters import STAMP_FORMS, format_timestamp, from_letters, restamped, to_letters
 
 START = datetime(2012, 5, 1, 21, 30, 0, tzinfo=timezone.utc)
 
@@ -711,7 +711,6 @@ def files_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("agreement")
 
 
-ONE_HOUR = timezone(timedelta(hours=1))
 # Each row draws one; the empty ones leave it as written.
 _EPOCH_MUTATIONS = (
     "", "", "", "", "", "", "gap", "blank before", "CR", "joined", "one field",
@@ -732,7 +731,7 @@ def epoch_files(draw):
     n = draw(st.integers(0, 10))
     spacing = draw(st.sampled_from([30, 60, 15, 45, 0, -30, 30.5]))
     start = START + timedelta(seconds=draw(st.integers(-(10**9), 10**9)))
-    form = draw(st.sampled_from(["Z", "offset", "naive", "mixed"]))
+    form = draw(st.sampled_from([*STAMP_FORMS, "mixed"]))
     eol = draw(st.sampled_from(["\n", "\n", "\r\n"]))
     mutations = st.sampled_from(_EPOCH_MUTATIONS if draw(st.booleans()) else [""])
     lines = ["timestamp,count" + eol]
@@ -744,12 +743,8 @@ def epoch_files(draw):
         if mutation == "gap":
             shift += draw(st.sampled_from([1, 30, -30]))
         t = start + timedelta(seconds=i * spacing + shift)
-        row_form = draw(st.sampled_from(["Z", "offset", "naive"])) if form == "mixed" else form
-        stamp = {
-            "Z": format_timestamp(t),
-            "offset": t.astimezone(ONE_HOUR).isoformat(),
-            "naive": t.replace(tzinfo=None).isoformat(),
-        }[row_form]
+        row_form = draw(st.sampled_from(list(STAMP_FORMS))) if form == "mixed" else form
+        stamp = STAMP_FORMS[row_form](t)
         count = str(draw(st.integers(0, 10**6)))
         if mutation == "bad stamp":
             stamp = draw(st.sampled_from(_BAD_STAMPS))
@@ -918,6 +913,46 @@ class TestOnePassAgreesWithRowScan:
                 path, expected_len, 30,
             )
         assert fast or not clean
+
+
+_EOLS = {"\n": "LF", "\r\n": "CRLF"}
+_OTHER_FORMS = [
+    (form, eol) for form in STAMP_FORMS for eol in _EOLS if (form, eol) != ("Z", "\n")
+]
+
+
+class TestOtherFormsReadAsWritten:
+    """A file in a form the writer does not write reads as the written file does.
+
+    The agreement fuzz above checks such files only against the row scan;
+    here the values themselves are checked."""
+
+    N_ROWS = 3000  # 25 hours: the UTC and +01:00 dates both roll over
+
+    @pytest.mark.parametrize(
+        "form, eol", _OTHER_FORMS, ids=[f"{f}-{_EOLS[e]}" for f, e in _OTHER_FORMS]
+    )
+    def test_epoch_file(self, new_york_host, tmp_path, form, eol):
+        written = EpochSeries(START, 30, np.arange(self.N_ROWS) * 7919 % 3000)
+        clean = tmp_path / "clean.csv"
+        write_epoch_csv(written, clean)
+        expected = _outcome(read_epoch_csv, clean)
+        assert expected == (START, timedelta(0), 30, np.int64, written.counts.tolist())
+        path = tmp_path / "other.csv"
+        path.write_bytes(restamped(clean.read_text(), form, eol).encode())
+        for read in (read_epoch_csv, series_module._scan_epoch_csv):
+            assert _outcome(read, path) == expected
+
+    def test_crlf_label_file(self, tmp_path):
+        written = StateSequence((np.arange(self.N_ROWS) % 3 == 2).astype(np.int8), 30)
+        clean = tmp_path / "clean.csv"
+        write_label_csv(written, clean)
+        path = tmp_path / "crlf.csv"
+        path.write_bytes(clean.read_bytes().replace(b"\n", b"\r\n"))
+        expected = (30, np.int8, written.states.tolist())
+        for read in (read_label_csv, series_module._scan_label_csv):
+            assert _outcome(read, clean, self.N_ROWS, 30) == expected
+            assert _outcome(read, path, self.N_ROWS, 30) == expected
 
 
 # ---------------------------------------------------------------------------
