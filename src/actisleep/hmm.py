@@ -3,13 +3,13 @@
 State index 0 is sleep (zero-inflated truncated Gaussian emission),
 index 1 is wake (Gaussian emission); the labeling convention mu1 < mu2
 is enforced after fitting.  The forward-backward pass uses Rabiner's
-per-step normalization, or log space where a scale is not a normal float
-or a backward variable is not finite, and returns the expected
-transition counts summed over time rather than per-step pairwise
-posteriors; Viterbi runs in pure log space with ties broken toward
-sleep.  With two states, both recursions run as loops over plain Python
-floats read from and written to numpy arrays through ``memoryview``s;
-the Viterbi traceback is integer array work.
+per-step normalization, or log space where the scaled pass fails one of
+its underflow checks, and returns the expected transition counts summed
+over time rather than per-step pairwise posteriors; Viterbi runs in pure
+log space with ties broken toward sleep.  With two states, both
+recursions run as loops over plain Python floats read from and written
+to numpy arrays through ``memoryview``s; the Viterbi traceback is
+integer array work.
 """
 
 from __future__ import annotations
@@ -110,9 +110,11 @@ def _forward_backward(obs: LogSeries, params: HmmParams):
     The two sequential recursions run over Python floats; xi_sum is one
     vectorized step and no per-epoch (T-1, 2, 2) array is built.  The pass
     hands over to ``_log_forward_backward`` when a scale is not a normal
-    float (a zero scale is stored as NaN) or a backward variable is not
-    finite: forward mass lost to underflow can move the likelihood only
-    where the later epochs favor it enough to overflow its beta.
+    float (a zero scale is stored as NaN), a backward variable is not
+    finite, or an underflowed forward mass or emission factor carries a
+    posterior share (predicted mass times emission times beta) above about
+    1e-20: a lineage lost to underflow can hold most of the posterior while
+    its beta stays finite.
     """
     logb, log_a, log_pi = log_terms(obs, params)
     T = logb.shape[1]
@@ -141,8 +143,16 @@ def _forward_backward(obs: LogSeries, params: HmmParams):
         y0, y1, ct = b0[t] * z0, b1[t] * z1, cv[t]
         z0, z1 = (a00 * y0 + a01 * y1) / ct, (a10 * y0 + a11 * y1) / ct
         be0[t - 1], be1[t - 1] = z0, z1
-    if not c.min() >= np.finfo(np.float64).tiny or not np.isfinite(beta).all():
+    tiny = np.finfo(np.float64).tiny
+    if not c.min() >= tiny or not np.isfinite(beta).all():
         return _log_forward_backward(logb, log_a, log_pi)
+    j, t = np.nonzero((alpha < tiny) | (b < tiny))  # underflowed forward masses or emissions
+    if t.size:  # the log of each one's unscaled alpha * beta, its posterior share
+        with np.errstate(divide="ignore"):
+            q = np.where(t > 0, np.logaddexp(*(np.log(alpha[:, t - 1]) + log_a[:, j])), log_pi[j])
+            share = q + (logb[j, t] - shift[t]) - np.log(c[t]) + np.log(beta[j, t])
+        if share.max() > np.log(np.finfo(np.float64).eps) - 10:
+            return _log_forward_backward(logb, log_a, log_pi)
     log_likelihood = float(np.sum(np.log(c)) + np.sum(shift))
 
     gamma = (alpha * beta).T
@@ -158,8 +168,8 @@ def _forward_backward(obs: LogSeries, params: HmmParams):
 
 def _log_forward_backward(logb, log_a, log_pi):
     """``_forward_backward`` in log space, for parameters (such as an exact 0
-    in ``pi`` or ``a``) under which the scaled pass yields a scale that is
-    not a normal float or a backward variable that is not finite."""
+    or a tiny entry in ``pi`` or ``a``) under which the scaled pass fails
+    one of its checks."""
     log_alpha, log_beta = np.empty_like(logb), np.zeros_like(logb)
     log_alpha[:, 0] = log_pi + logb[:, 0]
     for t in range(1, logb.shape[1]):  # log of the sum over i of alpha[i] a[i, j]

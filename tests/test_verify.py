@@ -40,6 +40,15 @@ class TestCleanImplementation:
         report = run_verification(trials=200, max_t=12, seed=0)
         assert report.passed, [c for c in report.checks if not c.passed]
 
+    def test_no_instances_pass_with_zero_errors(self):
+        report = run_verification(trials=0)
+        assert report.passed
+        assert [c.detail for c in report.checks[:3]] == [
+            "worst rel err 0.000e+00",
+            "paths identical",
+            "worst abs err 0.000e+00",
+        ]
+
     def test_deterministic(self):
         r1 = run_verification(trials=50, max_t=10, seed=5)
         r2 = run_verification(trials=50, max_t=10, seed=5)
@@ -93,6 +102,14 @@ class TestFaultInjection:
         report = run_verification(trials=50)
         by_name = {c.name: c for c in report.checks}
         assert not by_name["posteriors vs enumeration"].passed
+
+    def test_nan_posteriors_caught(self, monkeypatch):
+        real = hmm.posterior_marginals
+        monkeypatch.setattr(hmm, "posterior_marginals", lambda obs, p: real(obs, p) * np.nan)
+        report = run_verification(trials=20)
+        check = {c.name: c for c in report.checks}["posteriors vs enumeration"]
+        assert not check.passed
+        assert check.detail.startswith("worst abs err nan; first failing instance seed ")
 
     def test_failure_reports_instance_seed(self, monkeypatch):
         real = hmm.forward_log_likelihood
