@@ -23,31 +23,16 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import norm
 
-from actisleep import (
-    AsConfig,
-    Confusion,
-    SimSpec,
-    as_score,
-    cli,
-    epoch_metrics,
-    hmm,
-    paired_t,
-    pearson_r,
-    reference_params,
-    rescore,
-    simulate,
-    simulate_from_states,
-    smooth,
-    verify,
-)
+from actisleep import cli, hmm, verify
 from actisleep.emissions import (
     SleepEmission,
     fit_sleep_weighted,
     sleep_log_emission,
     wake_log_emission,
 )
-from actisleep.actiwatch import find_sleep_end, find_sleep_start
-from actisleep.postprocess import _run_arrays
+from actisleep.actiwatch import AsConfig, as_score, find_sleep_end, find_sleep_start, rescore
+from actisleep.metrics import Confusion, epoch_metrics, paired_t, pearson_r, sleep_variables
+from actisleep.postprocess import _run_arrays, smooth
 from actisleep.series import (
     EpochSeries,
     LogSeries,
@@ -56,7 +41,15 @@ from actisleep.series import (
     StudyWindow,
     log_transform,
 )
-from actisleep.simulate import DEFAULT_START_TIME, _sample_states, sample_log_values
+from actisleep.simulate import (
+    DEFAULT_START_TIME,
+    SimSpec,
+    _sample_states,
+    reference_params,
+    sample_log_values,
+    simulate,
+    simulate_from_states,
+)
 from actisleep.verify import random_instance
 
 from state_letters import format_timestamp, from_letters, to_letters
@@ -402,8 +395,6 @@ class TestCriterion10Metrics:
         assert m.specificity_sleep == 2 / 3
         assert m.ppv_sleep == 6 / 7
         assert m.ppv_wake == 2 / 3
-        from actisleep import sleep_variables
-
         v = sleep_variables(
             from_letters("W" * 10 + "S" * 10, 30),
             StudyWindow(0, 20, 0, 19),

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from actisleep import AsConfig, as_score, find_sleep_end, find_sleep_start, rescore
+from actisleep.actiwatch import AsConfig, as_score, find_sleep_end, find_sleep_start, rescore
 from actisleep.errors import ConfigError, InputError
 from actisleep.postprocess import _run_arrays
 from actisleep.series import EpochSeries, State, StudyWindow
@@ -116,6 +116,12 @@ class TestFindSleepEnd:
         for up in (20, 50, 79):
             got = find_sleep_end(scores, 30, up, AsConfig())
             assert got is not None and got <= up
+
+    def test_threshold_is_strict_inequality(self):
+        # 30 s epochs: per-epoch threshold 6*30/60 = 3. Scores exactly at it do
+        # not count as above; 3.04, the next rescored total, does.
+        assert find_sleep_end(np.full(40, 3.0), 30, 39, AsConfig()) == 39
+        assert find_sleep_end(np.full(40, 3.04), 30, 39, AsConfig()) is None
 
     def test_get_up_out_of_bounds(self):
         with pytest.raises(InputError):

@@ -14,8 +14,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from actisleep import AsConfig, cli, hmm, log_transform, read_epoch_csv, read_label_csv, smooth
-from actisleep.series import read_key_values
+from actisleep import cli, hmm
+from actisleep.actiwatch import AsConfig
+from actisleep.postprocess import smooth
+from actisleep.series import log_transform, read_epoch_csv, read_key_values, read_label_csv
 
 from state_letters import format_timestamp, restamped
 
@@ -295,8 +297,6 @@ class TestScore:
             assert outs[0].read_bytes() == outs[1].read_bytes()
 
     def test_min_minutes_zero_skips_smoothing(self, sim, capsys):
-        from actisleep import log_transform, viterbi
-
         raw_out = sim["dir"] / "raw.csv"
         assert _run(
             capsys,
@@ -305,7 +305,7 @@ class TestScore:
         )[0] == 0
         got = read_label_csv(raw_out, 2000)
         series = read_epoch_csv(sim["epochs"])
-        expected = viterbi(log_transform(series), hmm.read_params(sim["params"]))
+        expected = hmm.viterbi(log_transform(series), hmm.read_params(sim["params"]))
         assert np.array_equal(got.states, expected.states)
 
 
@@ -1002,41 +1002,60 @@ print(sorted(m for m in modules if m in sys.modules))
         ).stdout
         assert out.strip().splitlines()[-1] == "[]"
 
-    # every name the package exported when it imported metrics and verify eagerly
-    PUBLIC_NAMES = (
-        "AsConfig AsResult as_score find_sleep_end find_sleep_start rescore "
-        "SleepEmission WakeEmission fit_sleep_weighted fit_wake_weighted "
-        "sleep_log_emission wake_log_emission FitReport HmmParams baum_welch "
-        "default_init forward_log_likelihood posterior_marginals read_params viterbi "
-        "write_params Confusion EpochMetrics SleepVariables confusion epoch_metrics "
-        "paired_t pearson_r sleep_variables smooth EpochSeries LogSeries State "
-        "StateSequence StudyWindow log_transform read_epoch_csv read_label_csv "
-        "read_window_file write_epoch_csv write_label_csv SimSpec reference_params "
-        "simulate simulate_from_states VerifyReport brute_force_likelihood "
-        "brute_force_posteriors brute_force_viterbi run_verification"
-    ).split()
+    # every public class and function, by the one module that defines it
+    PUBLIC_NAMES = {
+        "actiwatch": "AsConfig AsResult as_score find_sleep_end find_sleep_start rescore",
+        "emissions": "SleepEmission WakeEmission fit_sleep_weighted fit_wake_weighted "
+                     "sleep_log_emission wake_log_emission",
+        "hmm": "FitReport HmmParams baum_welch default_init forward_log_likelihood "
+               "posterior_marginals read_params viterbi write_params",
+        "metrics": "Confusion EpochMetrics SleepVariables confusion epoch_metrics paired_t "
+                   "pearson_r sleep_variables",
+        "postprocess": "smooth",
+        "series": "EpochSeries LogSeries State StateSequence StudyWindow log_transform "
+                  "read_epoch_csv read_label_csv read_window_file write_epoch_csv "
+                  "write_label_csv",
+        "simulate": "SimSpec reference_params simulate simulate_from_states",
+        "verify": "VerifyReport brute_force_likelihood brute_force_posteriors "
+                  "brute_force_viterbi run_verification",
+    }
 
     def test_every_public_name_still_importable(self):
+        # the package itself imports nothing and re-exports nothing: each name
+        # has one import path, and actisleep.simulate is always the submodule
+        names = {module: names.split() for module, names in self.PUBLIC_NAMES.items()}
+        assert sum(map(len, names.values())) == 50
         code = f"""
+import importlib, sys
 import actisleep
-names = {self.PUBLIC_NAMES!r}
-assert sorted(actisleep.__all__) == sorted(names), sorted(set(actisleep.__all__) ^ set(names))
-namespace = {{}}
-exec("from actisleep import *", namespace)
-assert all(name in namespace for name in names)
-import actisleep.verify
-from actisleep import metrics, simulate, verify
-assert simulate is actisleep.simulate and simulate.__module__ == "actisleep.simulate"
-assert actisleep.run_verification is verify.run_verification
-assert actisleep.confusion is metrics.confusion
-print("ok")
+print(sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "actisleep")))
+for module, names in {names!r}.items():
+    module = importlib.import_module("actisleep." + module)
+    for name in names:
+        assert getattr(module, name).__module__ == module.__name__, (module, name)
+from actisleep import simulate
+assert simulate is sys.modules["actisleep.simulate"]
+all_names = [name for names in {names!r}.values() for name in names]
+print(sorted(name for name in all_names if hasattr(actisleep, name)))
 """
         src = str(Path(cli.__file__).resolve().parents[1])
         out = subprocess.run(
             [sys.executable, "-c", code], check=True, capture_output=True, text=True,
             env={**os.environ, "PYTHONPATH": src},
         ).stdout
-        assert out.strip() == "ok"
+        assert out.strip().splitlines() == ["['actisleep']", "['simulate']"]
+
+    def test_readme_library_example_runs_as_written(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        library = readme.split("\n## Library\n", 1)[1]
+        code = library.split("```python\n", 1)[1].split("```", 1)[0]
+        src = str(Path(cli.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", code], check=True, capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        ).stdout
+        # the share of epochs the smoothed decode labels as the simulator did
+        assert 0.5 <= float(out) <= 1
 
 
 class TestOwnProcess:

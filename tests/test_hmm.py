@@ -7,33 +7,29 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from actisleep import (
-    HmmParams,
-    hmm,
-    SleepEmission,
-    State,
-    WakeEmission,
-    baum_welch,
-    brute_force_likelihood,
-    brute_force_posteriors,
-    brute_force_viterbi,
-    default_init,
-    forward_log_likelihood,
-    posterior_marginals,
-    read_params,
-    smooth,
-    viterbi,
-    write_params,
-)
+from actisleep import hmm
 from actisleep.emissions import (
     SIGMA_FLOOR,
+    SleepEmission,
+    WakeEmission,
     fit_sleep_weighted,
     fit_wake_weighted,
     sleep_log_emission,
 )
 from actisleep.errors import DegenerateWeightError, InputError
-from actisleep.hmm import _forward_backward
-from actisleep.series import LogSeries, log_transform
+from actisleep.hmm import (
+    HmmParams,
+    _forward_backward,
+    baum_welch,
+    default_init,
+    forward_log_likelihood,
+    posterior_marginals,
+    read_params,
+    viterbi,
+    write_params,
+)
+from actisleep.postprocess import smooth
+from actisleep.series import LogSeries, State, log_transform
 from actisleep.simulate import SimSpec, reference_params, simulate
 from actisleep.verify import (
     BRUTE_FORCE_MAX_T,
@@ -41,6 +37,9 @@ from actisleep.verify import (
     POSTERIOR_TOL,
     _logsumexp,
     _path_log_probs,
+    brute_force_likelihood,
+    brute_force_posteriors,
+    brute_force_viterbi,
     random_instance,
     score_paths,
 )
@@ -146,6 +145,16 @@ class TestHmmParams:
         with pytest.raises(InputError):
             HmmParams(
                 a=np.array([[0.9, 0.2], [0.1, 0.9]]),
+                sleep=SleepEmission(0.5, 1.0, 1.0),
+                wake=WakeEmission(3.0, 1.0),
+                pi=np.array([0.5, 0.5]),
+            )
+
+    @pytest.mark.parametrize("a", [np.eye(3), [0.9, 0.1], [[0.9, 0.1, 0.0], [0.1, 0.9, 0.0]]])
+    def test_transition_matrix_not_2x2_rejected(self, a):
+        with pytest.raises(InputError, match="transition matrix must be 2x2"):
+            HmmParams(
+                a=np.array(a),
                 sleep=SleepEmission(0.5, 1.0, 1.0),
                 wake=WakeEmission(3.0, 1.0),
                 pi=np.array([0.5, 0.5]),

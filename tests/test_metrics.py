@@ -6,16 +6,16 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from actisleep import (
+from actisleep.errors import InputError, UndefinedStatisticError
+from actisleep.metrics import (
     Confusion,
+    _t_two_sided_p,
     confusion,
     epoch_metrics,
     paired_t,
     pearson_r,
     sleep_variables,
 )
-from actisleep.errors import InputError, UndefinedStatisticError
-from actisleep.metrics import _t_two_sided_p
 from actisleep.series import StudyWindow
 
 from state_letters import from_letters

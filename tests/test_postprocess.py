@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from actisleep import smooth
 from actisleep.errors import InputError
-from actisleep.postprocess import _run_arrays
+from actisleep.postprocess import _run_arrays, smooth
 from actisleep.series import StateSequence
 
 from state_letters import from_letters, to_letters

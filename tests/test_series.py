@@ -15,22 +15,24 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from actisleep import (
+from actisleep import series as series_module
+from actisleep.errors import EmptyInputError, FormatError, InputError
+from actisleep.series import (
     EpochSeries,
     LogSeries,
     State,
     StateSequence,
     StudyWindow,
     log_transform,
+    parse_timestamp,
     read_epoch_csv,
+    read_key_values,
     read_label_csv,
     read_window_file,
     write_epoch_csv,
+    write_key_values,
     write_label_csv,
 )
-from actisleep import series as series_module
-from actisleep.errors import EmptyInputError, FormatError, InputError
-from actisleep.series import parse_timestamp, read_key_values, write_key_values
 
 from state_letters import STAMP_FORMS, format_timestamp, from_letters, restamped, to_letters
 
@@ -672,6 +674,11 @@ class TestLogSeries:
     def test_non_finite_rejected(self):
         with pytest.raises(InputError):
             LogSeries(np.array([np.inf]), 30)
+
+    @pytest.mark.parametrize("values", [[], [[0.0, 1.0]], 0.5])
+    def test_empty_or_not_1d_rejected(self, values):
+        with pytest.raises(InputError, match="values must be a non-empty 1-d sequence"):
+            LogSeries(np.array(values), 30)
 
 
 # ---------------------------------------------------------------------------

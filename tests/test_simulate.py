@@ -6,12 +6,18 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from actisleep import SimSpec, reference_params, simulate, simulate_from_states
 from actisleep.errors import InputError
 from actisleep.hmm import HmmParams
 from actisleep.emissions import ALPHA_MAX, ALPHA_MIN, SleepEmission, WakeEmission
 from actisleep.series import State, log_transform
-from actisleep.simulate import _sample_states, sample_log_values
+from actisleep.simulate import (
+    SimSpec,
+    _sample_states,
+    reference_params,
+    sample_log_values,
+    simulate,
+    simulate_from_states,
+)
 
 from state_letters import from_letters
 

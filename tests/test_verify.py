@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from actisleep import hmm, run_verification
+from actisleep import hmm
 from actisleep.errors import InputError
 from actisleep.series import StateSequence
-from actisleep.verify import BRUTE_FORCE_MAX_T, _logsumexp
+from actisleep.verify import BRUTE_FORCE_MAX_T, _logsumexp, run_verification
 
 
 class TestLogSumExp:
