@@ -43,7 +43,7 @@ from .series import (
     write_key_values,
     write_label_csv,
 )
-from .simulate import DEFAULT_START_TIME, SimSpec, reference_params, simulate
+from .simulate import DEFAULT_START_TIME, reference_params, simulate
 
 # metrics, verify and json load only where they are used (compare,
 # verify, --json), so a score run does not pay to import or compile them
@@ -71,14 +71,9 @@ def _log(msg: str) -> None:
 
 def _cmd_simulate(args) -> dict:
     params = hmm.read_params(args.params) if args.params else reference_params()
-    spec = SimSpec(
-        params=params,
-        t_epochs=args.t,
-        epoch_seconds=args.epoch_seconds,
-        seed=args.seed,
-        start_time=args.start,
+    series, states = simulate(
+        params, args.t, epoch_seconds=args.epoch_seconds, seed=args.seed, start_time=args.start
     )
-    series, states = simulate(spec)
     prefix = args.out_prefix
     # JSON key -> output path; each file is named <prefix>.<key><extension>
     paths = {

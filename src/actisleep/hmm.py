@@ -390,17 +390,3 @@ def read_params(path) -> HmmParams:
         wake=WakeEmission(mu2=v["mu2"], sigma2=v["sigma2"]),
         pi=np.array([v["pi_sleep"], v["pi_wake"]]),
     )
-
-
-__all__ = [
-    "HmmParams",
-    "FitReport",
-    "forward_log_likelihood",
-    "posterior_marginals",
-    "baum_welch",
-    "default_init",
-    "viterbi",
-    "log_terms",
-    "read_params",
-    "write_params",
-]

@@ -8,15 +8,15 @@ integer count via round(exp(v) - 1), so fixtures flow through the same
 ingest path as real data; the rounding perturbation is acknowledged in
 fitting-recovery tolerances.
 
-The random source is numpy's PCG64 generator seeded from the spec, so
-identical specs produce bit-identical output on a platform.  Table-based
+The random source is numpy's PCG64 generator built by ``seeded_rng``,
+the one place in the package that seeds a generator, so identical
+arguments produce bit-identical output on a platform.  Table-based
 default parameters matching typical wrist-actigraphy fits are exposed as
 ``reference_params``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
 import numpy as np
@@ -39,26 +39,11 @@ def reference_params() -> HmmParams:
     )
 
 
-def check_seed(seed: int) -> None:
-    """Raise InputError for a seed numpy's PCG64 refuses: a negative one."""
+def seeded_rng(seed: int) -> np.random.Generator:
+    """numpy's PCG64 generator for ``seed``; InputError for a negative one, which PCG64 refuses."""
     if seed < 0:
         raise InputError("seed must be >= 0")
-
-
-@dataclass(frozen=True)
-class SimSpec:
-    """Everything needed to reproduce one synthetic recording."""
-
-    params: HmmParams
-    t_epochs: int
-    epoch_seconds: int = 30
-    seed: int = 0
-    start_time: datetime = field(default=DEFAULT_START_TIME)
-
-    def __post_init__(self) -> None:
-        if self.t_epochs < 1:
-            raise InputError("t_epochs must be >= 1")
-        check_seed(self.seed)
+    return np.random.Generator(np.random.PCG64(seed))
 
 
 def _sample_states(params: HmmParams, t_epochs: int, rng: np.random.Generator) -> np.ndarray:
@@ -101,31 +86,39 @@ def sample_log_values(
     return values
 
 
-def _values_to_counts(values: np.ndarray) -> np.ndarray:
+def _sample_series(
+    states: StateSequence, params: HmmParams, rng: np.random.Generator, start_time: datetime
+) -> EpochSeries:
+    values = sample_log_values(states.states, params, rng)
     with np.errstate(over="ignore"):  # an inf is refused with the other large counts
         counts = np.maximum(np.round(np.expm1(values)), 0.0)
     if np.any(counts >= 2.0**63):
         raise InputError("a simulated count is above 2**63 - 1")
-    return counts.astype(np.int64)
+    return EpochSeries(start_time, states.epoch_seconds, counts.astype(np.int64))
 
 
-def simulate(spec: SimSpec) -> tuple[EpochSeries, StateSequence]:
+def simulate(
+    params: HmmParams,
+    t_epochs: int,
+    *,
+    epoch_seconds: int = 30,
+    seed: int = 0,
+    start_time: datetime = DEFAULT_START_TIME,
+) -> tuple[EpochSeries, StateSequence]:
     """Sample one recording with its ground-truth state path."""
-    rng = np.random.Generator(np.random.PCG64(spec.seed))
-    states = _sample_states(spec.params, spec.t_epochs, rng)
-    values = sample_log_values(states, spec.params, rng)
-    series = EpochSeries(spec.start_time, spec.epoch_seconds, _values_to_counts(values))
-    return series, StateSequence(states, spec.epoch_seconds)
+    if t_epochs < 1:
+        raise InputError("t_epochs must be >= 1")
+    rng = seeded_rng(seed)
+    truth = StateSequence(_sample_states(params, t_epochs, rng), epoch_seconds)
+    return _sample_series(truth, params, rng, start_time), truth
 
 
 def simulate_from_states(
     states: StateSequence,
     params: HmmParams,
+    *,
     seed: int = 0,
     start_time: datetime = DEFAULT_START_TIME,
 ) -> EpochSeries:
     """Sample counts for a fixed state path (e.g. a consolidated night)."""
-    check_seed(seed)
-    rng = np.random.Generator(np.random.PCG64(seed))
-    values = sample_log_values(states.states, params, rng)
-    return EpochSeries(start_time, states.epoch_seconds, _values_to_counts(values))
+    return _sample_series(states, params, seeded_rng(seed), start_time)

@@ -22,7 +22,7 @@ from . import hmm
 from .emissions import SleepEmission, WakeEmission
 from .errors import InputError
 from .series import LogSeries, StateSequence, log_transform
-from .simulate import SimSpec, check_seed, reference_params, simulate
+from .simulate import reference_params, seeded_rng, simulate
 
 FORWARD_REL_TOL = 1e-10
 POSTERIOR_TOL = 1e-10
@@ -147,17 +147,16 @@ _ORACLE_CHECKS = (
 
 
 def run_verification(trials: int = 500, max_t: int = 12, seed: int = 0) -> VerifyReport:
-    check_seed(seed)
+    rng = seeded_rng(seed)
     if trials < 0:
         raise InputError("trials must be >= 0")
     if not 1 <= max_t <= BRUTE_FORCE_MAX_T:
         raise InputError(f"max_t must be in [1, {BRUTE_FORCE_MAX_T}]")
-    rng = np.random.Generator(np.random.PCG64(seed))
 
     instance_seeds = rng.integers(0, 2**63 - 1, size=trials)
     errors = np.zeros((trials, len(_ORACLE_CHECKS)))  # columns in _ORACLE_CHECKS order
     for i, inst_seed in enumerate(instance_seeds):
-        inst_rng = np.random.Generator(np.random.PCG64(int(inst_seed)))
+        inst_rng = seeded_rng(int(inst_seed))
         obs, params = random_instance(inst_rng, max_t)
         logp, paths = _path_log_probs(obs, params)
         exact = _logsumexp(logp)
@@ -180,9 +179,7 @@ def run_verification(trials: int = 500, max_t: int = 12, seed: int = 0) -> Verif
     em_bad = None
     for _ in range(EM_RUNS):
         em_seed = int(rng.integers(0, 2**31))
-        series, _ = simulate(
-            SimSpec(params=reference_params(), t_epochs=500, seed=em_seed)
-        )
+        series, _ = simulate(reference_params(), 500, seed=em_seed)
         obs = log_transform(series)
         report = hmm.baum_welch(obs, hmm.default_init(obs), max_iter=30)
         trace = np.asarray(report.log_likelihood_trace)

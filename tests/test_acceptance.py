@@ -43,7 +43,6 @@ from actisleep.series import (
 )
 from actisleep.simulate import (
     DEFAULT_START_TIME,
-    SimSpec,
     _sample_states,
     reference_params,
     sample_log_values,
@@ -68,7 +67,7 @@ def recovery_runs():
     """Ten seeded T=20,000 simulations fitted from the default init."""
     runs = []
     for seed in range(10):
-        series, truth = simulate(SimSpec(TRUE, 20_000, seed=seed))
+        series, truth = simulate(TRUE, 20_000, seed=seed)
         obs = log_transform(series)
         fitted = hmm.baum_welch(obs, hmm.default_init(obs)).params
         runs.append((obs, truth, fitted))
@@ -141,7 +140,7 @@ class TestCriterion3EmAscent:
     def test_fifty_traces_non_decreasing(self):
         worst = 0.0
         for seed in range(50):
-            series, _ = simulate(SimSpec(TRUE, 2000, seed=1000 + seed))
+            series, _ = simulate(TRUE, 2000, seed=1000 + seed)
             obs = log_transform(series)
             report = hmm.baum_welch(obs, hmm.default_init(obs))
             steps = np.diff(report.log_likelihood_trace)

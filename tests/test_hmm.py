@@ -30,7 +30,7 @@ from actisleep.hmm import (
 )
 from actisleep.postprocess import smooth
 from actisleep.series import LogSeries, State, log_transform
-from actisleep.simulate import SimSpec, reference_params, simulate
+from actisleep.simulate import reference_params, simulate
 from actisleep.verify import (
     BRUTE_FORCE_MAX_T,
     FORWARD_REL_TOL,
@@ -408,7 +408,7 @@ class TestLogSpaceFallback:
         assert _assert_matches_enumeration(LogSeries(np.array([2.932, 1.0]), 30), params)
 
     def test_simulated_week_fit_stays_scaled(self):
-        series, _ = simulate(SimSpec(params=reference_params(), t_epochs=20160, seed=3))
+        series, _ = simulate(reference_params(), 20160, seed=3)
         obs = log_transform(series)
         with mock.patch.object(
             hmm, "_log_forward_backward", wraps=hmm._log_forward_backward
@@ -587,7 +587,7 @@ def _reference_cases():
     yield "ties-into-wake", LogSeries(np.repeat([41.0, 43.0], 6), 30), mirrored
     yield "ties-mixed-wake", LogSeries(rng.choice([39.0, 41.0, 43.0], 300), 30), mirrored
     yield "single-epoch", LogSeries(np.array([1.0]), 30), reference_params()
-    series, _ = simulate(SimSpec(reference_params(), 20160, seed=31))
+    series, _ = simulate(reference_params(), 20160, seed=31)
     yield "week", log_transform(series), reference_params()
 
 
@@ -650,13 +650,13 @@ class TestDefaultInit:
         assert p.wake.mu2 == 3.0
 
     def test_ordering_on_simulated_data(self):
-        series, _ = simulate(SimSpec(reference_params(), 2000, seed=20))
+        series, _ = simulate(reference_params(), 2000, seed=20)
         obs = log_transform(series)
         p = default_init(obs)
         assert p.sleep.mu1 < p.wake.mu2
 
     def test_deterministic(self):
-        series, _ = simulate(SimSpec(reference_params(), 500, seed=21))
+        series, _ = simulate(reference_params(), 500, seed=21)
         obs = log_transform(series)
         p1, p2 = default_init(obs), default_init(obs)
         assert p1.sleep == p2.sleep
@@ -682,14 +682,14 @@ class TestDefaultInit:
 
 class TestBaumWelch:
     def test_trace_non_decreasing(self):
-        series, _ = simulate(SimSpec(reference_params(), 2000, seed=22))
+        series, _ = simulate(reference_params(), 2000, seed=22)
         obs = log_transform(series)
         report = baum_welch(obs, default_init(obs))
         trace = np.asarray(report.log_likelihood_trace)
         assert np.all(np.diff(trace) >= -1e-9)
 
     def test_fixed_point_converges_quickly(self):
-        series, _ = simulate(SimSpec(reference_params(), 2000, seed=23))
+        series, _ = simulate(reference_params(), 2000, seed=23)
         obs = log_transform(series)
         first = baum_welch(obs, default_init(obs))
         again = baum_welch(obs, first.params)
@@ -739,7 +739,7 @@ class TestBaumWelch:
     def test_sleep_m_step_never_keeps_init(self, monkeypatch):
         # E-step and M-step score the same sleep likelihood, so every
         # M-step moves (mu1, sigma1) instead of stalling at its start
-        series, _ = simulate(SimSpec(reference_params(), 2880, seed=7))
+        series, _ = simulate(reference_params(), 2880, seed=7)
         _, calls = self._sleep_m_steps(monkeypatch, log_transform(series))
         assert calls
         for _, _, init, result in calls:
@@ -749,7 +749,7 @@ class TestBaumWelch:
     def test_sleep_alpha_is_weighted_zero_fraction_at_large_counts(self, monkeypatch):
         # counts far above e^10 put mu1's start outside its box; alpha's
         # closed-form update must still run on every M-step
-        series, truth = simulate(SimSpec(reference_params(), 2880, seed=7))
+        series, truth = simulate(reference_params(), 2880, seed=7)
         obs = LogSeries(np.log1p(series.counts * 1e5), 30)
         report, calls = self._sleep_m_steps(monkeypatch, obs)
         assert calls and not report.swapped
@@ -786,7 +786,7 @@ class TestBaumWelch:
     @pytest.mark.parametrize("max_iter", [0, 1, 2, 3])
     def test_max_iter_counts_m_steps(self, max_iter):
         # a tol no real step meets: every allowed M-step runs
-        series, _ = simulate(SimSpec(reference_params(), 2880, seed=7))
+        series, _ = simulate(reference_params(), 2880, seed=7)
         obs = log_transform(series)
         report = baum_welch(obs, default_init(obs), tol=1e-300, max_iter=max_iter)
         assert report.iterations == max_iter
@@ -794,7 +794,7 @@ class TestBaumWelch:
         assert not report.converged
 
     def test_restart_from_fixed_point_converges_after_one_m_step(self):
-        series, _ = simulate(SimSpec(reference_params(), 2880, seed=7))
+        series, _ = simulate(reference_params(), 2880, seed=7)
         obs = log_transform(series)
         again = baum_welch(obs, baum_welch(obs, default_init(obs)).params)
         assert (again.iterations, len(again.log_likelihood_trace), again.converged) == (
@@ -802,7 +802,7 @@ class TestBaumWelch:
         )
 
     def test_stops_at_first_pair_within_tol(self):
-        series, _ = simulate(SimSpec(reference_params(), 2880, seed=7))
+        series, _ = simulate(reference_params(), 2880, seed=7)
         obs = log_transform(series)
         report = baum_welch(obs, default_init(obs))
         trace = report.log_likelihood_trace
@@ -814,7 +814,7 @@ class TestBaumWelch:
         assert report.iterations == len(trace) - 1
 
     def test_swap_enforces_mu_ordering(self):
-        series, _ = simulate(SimSpec(reference_params(), 2000, seed=24))
+        series, _ = simulate(reference_params(), 2000, seed=24)
         obs = log_transform(series)
         # start with the state labels flipped: "sleep" gets the high mean
         flipped = HmmParams(
@@ -838,7 +838,7 @@ class TestBaumWelch:
         assert np.all(np.diff(report.log_likelihood_trace) >= 0.0)
 
     def test_unswapped_fit_reports_its_last_e_step(self):
-        series, _ = simulate(SimSpec(reference_params(), 1000, seed=25))
+        series, _ = simulate(reference_params(), 1000, seed=25)
         obs = log_transform(series)
         report = baum_welch(obs, default_init(obs))
         assert not report.swapped
@@ -858,7 +858,7 @@ class TestBaumWelch:
         assert gap <= POSTERIOR_TOL * abs(exact)
 
     def test_deterministic(self):
-        series, _ = simulate(SimSpec(reference_params(), 1000, seed=25))
+        series, _ = simulate(reference_params(), 1000, seed=25)
         obs = log_transform(series)
         r1 = baum_welch(obs, default_init(obs))
         r2 = baum_welch(obs, default_init(obs))
@@ -870,7 +870,7 @@ class TestBaumWelch:
     def test_mu1_leaves_a_start_above_10(self):
         # log1p(counts x 1e5) puts the positives near 11-19; under an absolute
         # upper mu1 bound of 10 every sleep M-step kept default_init's 14.25
-        series, _ = simulate(SimSpec(reference_params(), 2880, seed=7))
+        series, _ = simulate(reference_params(), 2880, seed=7)
         obs = LogSeries(np.log1p(series.counts * 1e5), 30)
         init = default_init(obs)
         assert init.sleep.mu1 == pytest.approx(14.25, abs=0.01)
@@ -900,7 +900,7 @@ class TestBaumWelch:
             same.append(fitted == two_pass(o, w))
             return fitted
 
-        series, _ = simulate(SimSpec(reference_params(), t_epochs, seed=3))
+        series, _ = simulate(reference_params(), t_epochs, seed=3)
         obs = log_transform(series)
         with mock.patch.object(hmm, "fit_wake_weighted", checked):
             baum_welch(obs, default_init(obs))

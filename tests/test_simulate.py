@@ -11,7 +11,6 @@ from actisleep.hmm import HmmParams
 from actisleep.emissions import ALPHA_MAX, ALPHA_MIN, SleepEmission, WakeEmission
 from actisleep.series import State, log_transform
 from actisleep.simulate import (
-    SimSpec,
     _sample_states,
     reference_params,
     sample_log_values,
@@ -182,13 +181,13 @@ class TestRefusals:
         # -3.1: over 1,000 expected draws per value
         params = _params(**changes)
         with pytest.raises(InputError, match=f"the {state} Gaussian"):
-            simulate(SimSpec(params, 10))
+            simulate(params, 10)
         with pytest.raises(InputError, match=f"the {state} Gaussian"):
             simulate_from_states(from_letters("SW" * 5, 30), params)
 
     def test_gaussian_just_above_the_limit_accepted(self):
         # Phi(-3.0) = 1.3e-3: about 740 draws per value
-        series, _ = simulate(SimSpec(_params(mu2=-3.0, sigma2=1.0), 5, seed=1))
+        series, _ = simulate(_params(mu2=-3.0, sigma2=1.0), 5, seed=1)
         assert np.all(series.counts >= 0)
 
     @pytest.mark.parametrize("mu2", [42.0, 50.0, 1000.0])
@@ -199,23 +198,22 @@ class TestRefusals:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(InputError, match=r"count is above 2\*\*63 - 1"):
-                simulate(SimSpec(params, 2000, seed=2))
+                simulate(params, 2000, seed=2)
             with pytest.raises(InputError, match=r"count is above 2\*\*63 - 1"):
                 simulate_from_states(states, params, seed=2)
 
 
 class TestDeterminism:
     def test_identical_specs_bit_identical(self):
-        spec = SimSpec(reference_params(), 2000, seed=7)
-        s1, p1 = simulate(spec)
-        s2, p2 = simulate(spec)
+        s1, p1 = simulate(reference_params(), 2000, seed=7)
+        s2, p2 = simulate(reference_params(), 2000, seed=7)
         assert np.array_equal(s1.counts, s2.counts)
         assert np.array_equal(p1.states, p2.states)
         assert s1.start_time == s2.start_time
 
     def test_seed_changes_output(self):
-        a, _ = simulate(SimSpec(reference_params(), 2000, seed=1))
-        b, _ = simulate(SimSpec(reference_params(), 2000, seed=2))
+        a, _ = simulate(reference_params(), 2000, seed=1)
+        b, _ = simulate(reference_params(), 2000, seed=2)
         assert not np.array_equal(a.counts, b.counts)
 
     def test_from_states_deterministic(self):
@@ -228,7 +226,7 @@ class TestDeterminism:
 class TestDegenerateSpecs:
     def test_alpha_near_one_sleep_always_zero(self):
         p = _params(alpha=1 - 1e-12)
-        series, states = simulate(SimSpec(p, 5000, seed=4))
+        series, states = simulate(p, 5000, seed=4)
         sleep_counts = series.counts[states.states == State.SLEEP]
         assert sleep_counts.size > 0
         assert np.all(sleep_counts == 0)
@@ -240,27 +238,35 @@ class TestDegenerateSpecs:
             wake=WakeEmission(4.0, 1.0),
             pi=np.array([1.0, 0.0]),
         )
-        _, states = simulate(SimSpec(p, 300, seed=5))
+        _, states = simulate(p, 300, seed=5)
         assert np.all(states.states == State.SLEEP)
 
     def test_t_epochs_must_be_positive(self):
-        with pytest.raises(InputError):
-            SimSpec(reference_params(), 0)
+        # checked before the seed
+        with pytest.raises(InputError, match="^t_epochs must be >= 1$"):
+            simulate(reference_params(), 0, seed=-1)
 
     def test_seed_must_be_non_negative(self):
-        with pytest.raises(InputError, match="seed"):
-            SimSpec(reference_params(), 10, seed=-1)
+        with pytest.raises(InputError, match="^seed must be >= 0$"):
+            simulate(reference_params(), 10, seed=-1)
+
+    def test_optional_arguments_are_keyword_only(self):
+        # a positional 5 would otherwise be read as a valid epoch_seconds
+        with pytest.raises(TypeError):
+            simulate(reference_params(), 2000, 5)
+        with pytest.raises(TypeError):
+            simulate_from_states(from_letters("SW", 30), reference_params(), 5)
 
     def test_from_states_seed_must_be_non_negative(self):
         states = from_letters("SW", 30)
-        with pytest.raises(InputError, match="seed"):
+        with pytest.raises(InputError, match="^seed must be >= 0$"):
             simulate_from_states(states, reference_params(), seed=-1)
 
 
 class TestLargeSampleFrequencies:
     def test_transition_and_zero_frequencies(self):
         params = reference_params()
-        series, states = simulate(SimSpec(params, 50_000, seed=6))
+        series, states = simulate(params, 50_000, seed=6)
         s = states.states
         # empirical transition frequencies within 0.01 of a
         for i in (0, 1):
@@ -276,7 +282,7 @@ class TestLargeSampleFrequencies:
 
     def test_stationary_marginals(self):
         params = reference_params()
-        _, states = simulate(SimSpec(params, 50_000, seed=8))
+        _, states = simulate(params, 50_000, seed=8)
         # stationary distribution of the chain
         a = params.a
         pi0 = a[1, 0] / (a[0, 1] + a[1, 0])
@@ -288,7 +294,7 @@ class TestCountLogConsistency:
     def test_rounding_bound(self):
         # log_transform of the emitted counts can differ from a possible
         # generating log-value only by the half-count rounding window
-        series, _ = simulate(SimSpec(reference_params(), 5000, seed=9))
+        series, _ = simulate(reference_params(), 5000, seed=9)
         logs = log_transform(series).values
         c = series.counts.astype(np.float64)
         lo = np.where(c > 0, np.log(c + 0.5), 0.0)
@@ -298,12 +304,12 @@ class TestCountLogConsistency:
         assert np.all(logs <= hi + 1e-12)
 
     def test_counts_non_negative_integers(self):
-        series, _ = simulate(SimSpec(reference_params(), 5000, seed=10))
+        series, _ = simulate(reference_params(), 5000, seed=10)
         assert series.counts.dtype == np.int64
         assert np.all(series.counts >= 0)
 
     def test_wake_counts_generally_large(self):
-        series, states = simulate(SimSpec(reference_params(), 20_000, seed=11))
+        series, states = simulate(reference_params(), 20_000, seed=11)
         wake_counts = series.counts[states.states == State.WAKE]
         sleep_counts = series.counts[states.states == State.SLEEP]
         assert np.median(wake_counts) > np.median(sleep_counts)
