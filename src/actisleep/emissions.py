@@ -11,8 +11,8 @@ as the M-step of EM fitting.  The wake update is closed form; the sleep
 update sets ``alpha`` to the weighted zero fraction and maximizes the
 truncated-Gaussian part over the parameter box.  That part depends on the
 data only through the weight, weighted mean and weighted variance of the
-positive values, and its box maximum is found exactly by one
-golden-section search over the standardised truncation point mu / sigma.
+positive values, and its box maximum is found to rounding by bisecting on
+the sign of its slope in the standardised truncation point mu / sigma.
 """
 
 from __future__ import annotations
@@ -34,9 +34,6 @@ ALPHA_MAX = 1.0 - 1e-6
 SIGMA_FLOOR = 1e-3
 MU1_BOUNDS = (-5.0, 10.0)
 SIGMA1_BOUNDS = (SIGMA_FLOOR, 5.0)
-
-_GOLDEN_TOL = 1e-10
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -168,29 +165,8 @@ def _trunc_loglik(mu: float, sigma: float, stats) -> float:
     )
 
 
-def _golden_max(f, lo: float, hi: float) -> tuple[float, float]:
-    """``(x, f(x))`` at the maximum of a unimodal ``f`` on ``[lo, hi]``.
-
-    Golden-section search down to ``_GOLDEN_TOL``; the two ends are
-    scored too, so a maximum on the boundary is found exactly.
-    """
-    a, b = lo, hi
-    c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > _GOLDEN_TOL:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = f(d)
-    return max((c, fc), (d, fd), (lo, f(lo)), (hi, f(hi)), key=lambda p: p[1])
-
-
 def _box_maximum(stats, mu_hi: float) -> tuple[float, float]:
-    """Exact maximum of ``_trunc_loglik`` over the parameter box.
+    """Maximum of ``_trunc_loglik`` over the parameter box, to rounding.
 
     The box is ``MU1_BOUNDS[0] <= mu <= mu_hi`` by ``SIGMA1_BOUNDS``.
 
@@ -208,12 +184,16 @@ def _box_maximum(stats, mu_hi: float) -> tuple[float, float]:
     in the natural parameters ``(mu / sigma^2, -1 / (2 sigma^2))``, in
     which the box is a convex polygon, so its superlevel sets inside the
     box are convex.  The s-values of a convex set form an interval, so
-    the profile over ``s`` is unimodal and one golden-section search
-    finds its maximum.  The profile has a kink where a mu bound meets the
-    upper sigma bound, at ``s = mu bound / SIGMA1_BOUNDS[1]``.  The lower
-    kink is scored too, so a maximum at that corner comes back exactly.  The
-    upper corner ``(mu_hi, SIGMA1_BOUNDS[1])`` cannot win: ``mu_hi`` is at
-    least the weighted mean, above which the objective falls in ``mu``.
+    the profile over ``s`` is unimodal and its slope, per unit weight
+    ``mean * u - s - phi(s) / Phi(s)`` (plus the u-derivative over ``mu``
+    where ``mu`` is on a bound and ``u = s / mu``), changes sign once.
+    Bisecting on that sign to adjacent floats finds the maximum, unlike
+    comparing profile values, which are flat there.  The profile has a
+    kink where a mu bound meets the upper sigma bound, at
+    ``s = mu bound / SIGMA1_BOUNDS[1]``.  The lower kink is scored too, so
+    a maximum at that corner comes back exactly.  The upper corner
+    ``(mu_hi, SIGMA1_BOUNDS[1])`` cannot win: ``mu_hi`` is at least the
+    weighted mean, above which the objective falls in ``mu``.
     """
     _, mean, var = stats
     m2 = var + mean * mean
@@ -233,13 +213,24 @@ def _box_maximum(stats, mu_hi: float) -> tuple[float, float]:
         sigma = min(max(sigma, sigma_lo), sigma_hi)
         return s * sigma, sigma
 
-    def profile(s: float) -> float:
-        return _trunc_loglik(*best_at(s), stats)
+    def slope(s: float) -> float:
+        mu, sigma = best_at(s)
+        u = 1.0 / sigma
+        d = mean * u - s - math.exp(_log_norm_pdf(s) - log_ndtr(s))
+        if mu in (mu_lo, mu_hi):
+            d -= (m2 * u - mean * s - sigma) / mu
+        return d
 
-    kink = mu_lo / sigma_hi
-    search = _golden_max(profile, mu_lo / sigma_lo, mu_hi / sigma_lo)
-    s, _ = max((kink, profile(kink)), search, key=lambda p: p[1])
-    return best_at(s)
+    lo, hi = mu_lo / sigma_lo, mu_hi / sigma_lo
+    # a slope pointing out of the bracket at one end puts the maximum there
+    if slope(lo) <= 0:
+        hi = lo
+    elif slope(hi) >= 0:
+        lo = hi
+    while lo < (mid := (lo + hi) / 2) < hi:
+        lo, hi = (mid, hi) if slope(mid) > 0 else (lo, mid)
+    # the lower kink wins a tie, so a maximum there comes back exactly
+    return best_at(max(mu_lo / sigma_hi, lo, key=lambda s: _trunc_loglik(*best_at(s), stats)))
 
 
 def _fit_truncnorm_weighted(o, wt, mu0: float, sigma0: float) -> tuple[float, float]:

@@ -6,6 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import minimize_scalar, root
 from scipy.special import log_ndtr as scipy_log_ndtr
 
 from actisleep.emissions import (
@@ -15,7 +16,6 @@ from actisleep.emissions import (
     SleepEmission,
     WakeEmission,
     _fit_truncnorm_weighted,
-    _golden_max,
     _trunc_loglik,
     _trunc_stats,
     fit_sleep_weighted,
@@ -465,15 +465,24 @@ class TestExactBoxMaximum:
         assert len(fits) == 1
 
 
+def _bounded_max(f, lo, hi):
+    """``(x, f(x))`` at the maximum of a unimodal ``f`` on ``[lo, hi]``:
+    scipy's bounded scalar search, with both ends scored."""
+    found = minimize_scalar(
+        lambda x: -f(x), bounds=(lo, hi), method="bounded", options={"xatol": 1e-10}
+    )
+    return max((found.x, -found.fun), (lo, f(lo)), (hi, f(hi)), key=lambda p: p[1])
+
+
 def _nested_box_search(stats):
-    """Reference box maximum: golden section over mu nested inside one over
+    """Reference box maximum: a bounded search over mu nested inside one over
     sigma.  At fixed sigma the objective is concave in mu, and its maximum
     over mu is unimodal in sigma (concavity in the natural parameters)."""
 
     def best_mu(sigma):
-        return _golden_max(lambda mu: _trunc_loglik(mu, sigma, stats), *MU1_BOUNDS)
+        return _bounded_max(lambda mu: _trunc_loglik(mu, sigma, stats), *MU1_BOUNDS)
 
-    sigma, _ = _golden_max(lambda sg: best_mu(sg)[1], *SIGMA1_BOUNDS)
+    sigma, _ = _bounded_max(lambda sg: best_mu(sg)[1], *SIGMA1_BOUNDS)
     return best_mu(sigma)[0], sigma
 
 
@@ -484,6 +493,41 @@ def test_box_maximum_matches_nested_reference_search():
         mu, sigma = _fit_truncnorm_weighted(obs, w, start.mu1, start.sigma1)
         reference = _trunc_loglik(*_nested_box_search(stats), stats)
         assert _trunc_loglik(mu, sigma, stats) >= reference - 1e-9
+
+
+def _score_equations(stats):
+    """The truncated-normal score equations in (mu, sigma), with
+    lambda = phi / Phi at s = mu / sigma from scipy's log_ndtr."""
+    _, mean, var = stats
+
+    def scores(x):
+        mu, sigma = x
+        s = mu / sigma
+        lam = np.exp(-0.5 * s * s - 0.5 * np.log(2 * np.pi) - scipy_log_ndtr(s))
+        return [(mean - mu) / sigma - lam, (var + (mean - mu) ** 2) / sigma**2 - 1 + s * lam]
+
+    return scores
+
+
+def test_interior_maximum_solves_the_score_equations():
+    # the root of the score equations, solved by scipy from a start nudged
+    # off the M-step's result, is where the M-step must land to rounding;
+    # mu is compared on the scale of sigma too, since near mu = 0 either
+    # side's rounding in s = mu / sigma is a large share of mu itself
+    rng = np.random.Generator(np.random.PCG64(16))
+    interior = 0
+    for obs, w, start in _weighted_positive_datasets(rng, 300):
+        stats = _trunc_stats(obs, w)
+        mu, sigma = _fit_truncnorm_weighted(obs, w, start.mu1, start.sigma1)
+        if mu in (MU1_BOUNDS[0], max(MU1_BOUNDS[1], obs.max())) or sigma in SIGMA1_BOUNDS:
+            continue
+        solved = root(_score_equations(stats), [mu * (1 + 1e-6), sigma * (1 + 1e-6)], tol=1e-15)
+        assert np.abs(solved.fun).max() < 1e-14, solved.message
+        ref_mu, ref_sigma = solved.x
+        assert abs(mu - ref_mu) <= 1e-11 * max(abs(ref_mu), ref_sigma)
+        assert sigma == pytest.approx(ref_sigma, rel=1e-11, abs=0)
+        interior += 1
+    assert interior > 200
 
 
 class TestParameterValidation:

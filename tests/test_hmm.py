@@ -9,9 +9,12 @@ from hypothesis import strategies as st
 
 from actisleep import hmm
 from actisleep.emissions import (
+    MU1_BOUNDS,
     SIGMA_FLOOR,
     SleepEmission,
     WakeEmission,
+    _box_maximum,
+    _trunc_stats,
     fit_sleep_weighted,
     fit_wake_weighted,
     sleep_log_emission,
@@ -745,6 +748,20 @@ class TestBaumWelch:
         for _, _, init, result in calls:
             assert result is not init
             assert (result.mu1, result.sigma1) != (init.mu1, init.sigma1)
+
+    def test_sleep_m_step_is_well_conditioned(self, monkeypatch):
+        # a last-bit change in numpy's kernels moves the E-step's weighted
+        # mean by a few ulp; the sleep M-step may move (mu1, sigma1) only by
+        # what that shift implies, not by its own search's rounding
+        series, _ = simulate(reference_params(), 2880, seed=7)
+        _, calls = self._sleep_m_steps(monkeypatch, log_transform(series))
+        o, w, _, _ = calls[-1]
+        weight, mean, var = _trunc_stats(o, np.where(o == 0.0, 0.0, w))
+        mu_hi = max(MU1_BOUNDS[1], float(o.max()))
+        fitted = _box_maximum((weight, mean, var), mu_hi)
+        for ulps in [*range(-40, 0), *range(1, 41)]:
+            moved = _box_maximum((weight, mean + ulps * np.spacing(mean), var), mu_hi)
+            assert moved == pytest.approx(fitted, rel=1e-13, abs=0)
 
     def test_sleep_alpha_is_weighted_zero_fraction_at_large_counts(self, monkeypatch):
         # counts far above e^10 put mu1's start outside its box; alpha's
