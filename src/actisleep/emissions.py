@@ -190,10 +190,8 @@ def _box_maximum(stats, mu_hi: float) -> tuple[float, float]:
     Bisecting on that sign to adjacent floats finds the maximum, unlike
     comparing profile values, which are flat there.  The profile has a
     kink where a mu bound meets the upper sigma bound, at
-    ``s = mu bound / SIGMA1_BOUNDS[1]``.  The lower kink is scored too, so
-    a maximum at that corner comes back exactly.  The upper corner
-    ``(mu_hi, SIGMA1_BOUNDS[1])`` cannot win: ``mu_hi`` is at least the
-    weighted mean, above which the objective falls in ``mu``.
+    ``s = mu bound / SIGMA1_BOUNDS[1]``; a maximum there is where the slope
+    jumps from positive to negative, so the bisection ends on the kink.
     """
     _, mean, var = stats
     m2 = var + mean * mean
@@ -229,8 +227,7 @@ def _box_maximum(stats, mu_hi: float) -> tuple[float, float]:
         lo = hi
     while lo < (mid := (lo + hi) / 2) < hi:
         lo, hi = (mid, hi) if slope(mid) > 0 else (lo, mid)
-    # the lower kink wins a tie, so a maximum there comes back exactly
-    return best_at(max(mu_lo / sigma_hi, lo, key=lambda s: _trunc_loglik(*best_at(s), stats)))
+    return best_at(lo)
 
 
 def _fit_truncnorm_weighted(o, wt, mu0: float, sigma0: float) -> tuple[float, float]:

@@ -24,7 +24,10 @@ from state_letters import format_timestamp, restamped
 try:
     from numpy._core._multiarray_umath import __cpu_features__
 except ImportError:  # numpy < 2
-    from numpy.core._multiarray_umath import __cpu_features__
+    try:
+        from numpy.core._multiarray_umath import __cpu_features__
+    except ImportError:  # the private module moved: the dispatch test skips
+        __cpu_features__ = {}
 
 
 def _run(capsys, *argv):
