@@ -10,13 +10,18 @@ fitting-recovery tolerances.
 
 The random source is numpy's PCG64 generator built by ``seeded_rng``,
 the one place in the package that seeds a generator, so identical
-arguments produce bit-identical output on a platform.  Table-based
+arguments produce bit-identical output on a platform.  The emissions are
+drawn run by run, consuming the generator exactly as a per-epoch loop
+does: a wake run's Gaussians come in batches, while sleep epochs stay one
+by one, since their uniform and Gaussian interleave and numpy's Gaussian
+takes a variable number of raw words.  Table-based
 default parameters matching typical wrist-actigraphy fits are exposed as
 ``reference_params``.
 """
 
 from __future__ import annotations
 
+import math
 from datetime import datetime, timezone
 
 import numpy as np
@@ -62,9 +67,15 @@ def sample_log_values(
     A sleep epoch takes one uniform draw against alpha; a non-zero sleep
     or any wake epoch then redraws its Gaussian until the value is >= 0.
     A Gaussian needing over 1,000 draws per value on average is refused first.
+
+    A wake run of n epochs draws n Gaussians in one call, keeps those >= 0
+    and draws only its shortfall again, so its last call ends on the n-th
+    kept value.  The uniform is tested on its raw word: ``random()`` is
+    ``(raw >> 11) * 2**-53``, below alpha exactly when the raw word is below
+    ``ceil(alpha * 2**53) << 11``.
     """
-    random, normal = rng.random, rng.normal
-    alpha = float(params.sleep.alpha)
+    normal, random_raw = rng.normal, rng.bit_generator.random_raw
+    point_mass = math.ceil(float(params.sleep.alpha) * 2**53) << 11
     draws = (
         (float(params.sleep.mu1), float(params.sleep.sigma1)),
         (float(params.wake.mu2), float(params.wake.sigma2)),
@@ -72,17 +83,24 @@ def sample_log_values(
     for state, (mu, sigma) in zip(("sleep", "wake"), draws):
         if log_ndtr(mu / sigma) < np.log(1e-3):
             raise InputError(f"the {state} Gaussian is >= 0 with probability below 1e-3")
+    (mu1, sigma1), (mu2, sigma2) = draws
     values = np.zeros(states.size, dtype=np.float64)
     out = memoryview(values)
-    for t, s in enumerate(states.tolist()):  # Sleep is 0, Wake 1
-        if s == 0 and random() < alpha:
-            continue  # the point mass: the value stays 0.0
-        mu, sigma = draws[s]
-        while True:
-            v = normal(mu, sigma)
-            if v >= 0.0:
-                break
-        out[t] = v
+    starts = np.flatnonzero(np.diff(states, prepend=-1)).tolist()
+    for start, stop, s in zip(starts, starts[1:] + [states.size], states[starts].tolist()):
+        while s == 1 and start < stop:  # Wake is 1: the run's shortfall in one call
+            v = normal(mu2, sigma2, stop - start)
+            v = v[v >= 0.0]
+            values[start : start + v.size] = v
+            start += v.size
+        for t in range(start, stop):  # Sleep; empty once a wake run is filled
+            if random_raw() < point_mass:
+                continue  # the point mass: the value stays 0.0
+            while True:
+                v = normal(mu1, sigma1)
+                if v >= 0.0:
+                    break
+            out[t] = v
     return values
 
 

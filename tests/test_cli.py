@@ -17,7 +17,9 @@ import pytest
 from actisleep import cli, hmm
 from actisleep.actiwatch import AsConfig
 from actisleep.postprocess import smooth
-from actisleep.series import log_transform, read_epoch_csv, read_key_values, read_label_csv
+from actisleep.series import (
+    EpochSeries, log_transform, read_epoch_csv, read_key_values, read_label_csv, write_epoch_csv,
+)
 
 from state_letters import format_timestamp, restamped
 
@@ -1326,3 +1328,107 @@ class TestUsageErrors:
     def test_verify_flag_range_ends_accepted(self, capsys):
         assert _run(capsys, "verify", "--trials", "0", "--max-t", "16")[0] == 0
         assert _run(capsys, "verify", "--trials", "3", "--max-t", "1")[0] == 0
+
+
+class _ExitCodeInputs:
+    """A simulated recording, its window, and the edited inputs of one exit-code row."""
+
+    def __init__(self, sim, monkeypatch):
+        self.dir, self.monkeypatch = sim["dir"], monkeypatch
+        self.epochs, self.labels, self.params = (str(sim[k]) for k in ("epochs", "labels", "params"))
+        self.window, self.out = str(self.dir / "window.txt"), str(self.dir / "out.csv")
+        _write_window(Path(self.window), read_epoch_csv(sim["epochs"]), 0, 2000, 0, 1999)
+
+    def file(self, name, content):
+        path = self.dir / name
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content)
+        return str(path)
+
+    def epoch_csv(self, *rows):
+        return self.file("edited.epochs.csv", "timestamp,count\n" + "".join(f"{r}\n" for r in rows))
+
+    def params_with(self, **changes):
+        kept = [line for line in Path(self.params).read_text().splitlines()
+                if line.split("=")[0] not in changes]
+        edits = [f"{key}={value}" for key, value in changes.items()]
+        return self.file("edited.params.txt", "".join(f"{line}\n" for line in kept + edits))
+
+    def score(self, epochs, *flags):
+        return ["score", epochs, "--out", self.out, *flags]
+
+    def as_score(self, *flags, epochs=None, window=None):
+        return ["as-score", epochs or self.epochs, "--window", window or self.window,
+                "--out", self.out, *flags]
+
+    def simulate(self, *flags):
+        return ["simulate", "--t", "10", "--out-prefix", str(self.dir / "new"), *flags]
+
+    def faulty_verify(self):
+        real = hmm.forward_log_likelihood
+        self.monkeypatch.setattr(hmm, "forward_log_likelihood", lambda o, p: real(o, p) + 1e-6)
+        return ["verify", "--trials", "30"]
+
+    def twenty_second_as_score(self):
+        series = EpochSeries(datetime(2020, 1, 1, 22, tzinfo=timezone.utc), 20, np.arange(300))
+        write_epoch_csv(series, self.dir / "twenty.epochs.csv")
+        _write_window(self.dir / "twenty.window.txt", series, 0, 300, 0, 299)
+        return self.as_score(epochs=str(self.dir / "twenty.epochs.csv"),
+                             window=str(self.dir / "twenty.window.txt"))
+
+
+# one input per clause of the README paragraph that begins "Exit codes:"
+EXIT_CODE_TABLE = [
+    ("success", 0, lambda f: f.score(f.epochs)),
+    ("verification failure", 1, lambda f: f.faulty_verify()),
+    ("validation failure", 1, lambda f: f.simulate("--start", "9999-12-31T23:59:00Z")),
+    ("non-finite parameters", 1, lambda f: f.score(f.epochs, "--params", f.params_with(mu2="nan"))),
+    ("out-of-range parameters", 1,
+     lambda f: f.score(f.epochs, "--params", f.params_with(a11="1.5"))),
+    ("as-score window shorter than one epoch", 1,
+     lambda f: f.as_score("--start-window-min", "0.2", "--end-window-min", "0.2")),
+    ("as-score rescoring of 20 s epochs", 1, lambda f: f.twenty_second_as_score()),
+    ("simulate --params Gaussian too rarely >= 0", 1,
+     lambda f: f.simulate("--params", f.params_with(mu1="-10"))),
+    ("simulate --params count above 2^63 - 1", 1,
+     lambda f: f.simulate("--params", f.params_with(mu2="50"))),
+    ("I/O error", 2, lambda f: f.score(str(f.dir / "missing.csv"))),
+    ("format error", 2, lambda f: f.score(f.epoch_csv("2020-01-01T22:00:00Z,1", "soon,2"))),
+    ("input that is not UTF-8", 2, lambda f: f.score(f.file("bytes.csv", b"timestamp,\xff\n"))),
+    ("counts above 2^63 - 1", 2,
+     lambda f: f.score(f.epoch_csv("2020-01-01T22:00:00Z,1", f"2020-01-01T22:00:30Z,{2**63}"))),
+    ("45 s row spacing", 2,
+     lambda f: f.score(f.epoch_csv("2020-01-01T22:00:00Z,1", "2020-01-01T22:00:45Z,2"))),
+    ("a UTC instant outside years 1-9999", 2,
+     lambda f: f.score(f.epoch_csv("9999-12-31T23:59:00-01:00,1", "9999-12-31T23:59:30-01:00,2"))),
+    ("a CSV field over the csv module's limit", 2,
+     lambda f: f.score(f.epoch_csv(f"2020-01-01T22:00:00Z,{'1' * 200_000}"))),
+    ("invalid flags", 3, lambda f: f.score(f.epochs, "--no-such-flag")),
+    ("fit log path is the params file", 3,
+     lambda f: ["fit", f.epochs, "--out-params", str(f.dir / "fit.log")]),
+    ("negative --max-iter", 3, lambda f: f.score(f.epochs, "--max-iter", "-1")),
+    ("--tol not positive and finite", 3, lambda f: f.score(f.epochs, "--tol", "0")),
+    ("--min-minutes negative", 3, lambda f: f.score(f.epochs, "--min-minutes=-3")),
+    ("--min-minutes not finite", 3, lambda f: f.score(f.epochs, "--min-minutes", "nan")),
+    ("simulate --t below 2", 3, lambda f: f.simulate("--t", "1")),
+    ("simulate --epoch-seconds 45", 3, lambda f: f.simulate("--epoch-seconds", "45")),
+    ("simulate --start not ISO-8601", 3, lambda f: f.simulate("--start", "yesterday")),
+    ("simulate --out-prefix with no file name", 3, lambda f: f.simulate("--out-prefix", "/")),
+    ("as-score threshold not positive and finite", 3,
+     lambda f: f.as_score("--immobility-start-cpm", "nan")),
+    ("as-score window not positive and finite", 3, lambda f: f.as_score("--start-window-min", "0")),
+    ("negative --end-tolerance-epochs", 3, lambda f: f.as_score("--end-tolerance-epochs", "-1")),
+    ("negative simulate --seed", 3, lambda f: f.simulate("--seed", "-1")),
+    ("negative verify --seed", 3, lambda f: ["verify", "--trials", "1", "--seed", "-1"]),
+]
+
+
+@pytest.mark.parametrize(
+    "build, code", [pytest.param(build, code, id=clause) for clause, code, build in EXIT_CODE_TABLE]
+)
+def test_readme_exit_code_table(sim, capsys, monkeypatch, build, code):
+    got, _, err = _run(capsys, *build(_ExitCodeInputs(sim, monkeypatch)))
+    assert got == code, err
+    assert "Traceback" not in err

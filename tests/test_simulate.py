@@ -1,5 +1,6 @@
 """Simulator tests: determinism, degenerate specs, and law-of-large-numbers checks."""
 
+import math
 import warnings
 
 import mpmath as mp
@@ -139,16 +140,17 @@ class TestStreamIdentity:
         normals = []
 
         class CountingRng:
-            random = rng.random
+            bit_generator = rng.bit_generator
 
-            def normal(self, mu, sigma):
-                normals.append(mu)
-                return rng.normal(mu, sigma)
+            def normal(self, mu, sigma, size=None):
+                v = rng.normal(mu, sigma, size)
+                normals.append(np.size(v))  # Gaussian values drawn, not calls
+                return v
 
         p = self.PARAMS["heavy_rejection"]
         values = sample_log_values(np.ones(2000, dtype=np.int8), p, CountingRng())
         assert np.all(values >= 0)
-        assert len(normals) > 3 * 2000
+        assert sum(normals) > 3 * 2000
         states = _sample_states(self.PARAMS["sleep_less_sticky"], 3000, np.random.Generator(np.random.PCG64(1)))
         after_sleep = states[1:][states[:-1] == State.SLEEP]
         after_wake = states[1:][states[:-1] == State.WAKE]
@@ -158,14 +160,64 @@ class TestStreamIdentity:
                 rng = np.random.Generator(np.random.PCG64(seed))
                 assert _sample_states(self.PARAMS[name], 1, rng)[0] == first
 
-    def test_simulate_from_states_matches_reference(self):
-        states = from_letters("S" * 40 + "W" * 25 + "S" * 35, 30)
-        params = self.PARAMS["heavy_rejection"]
-        series = simulate_from_states(states, params, seed=3)
-        rng = np.random.Generator(np.random.PCG64(3))
+    @staticmethod
+    def _from_states_matches_reference(letters, params, seed):
+        states = from_letters(letters, 30)
+        series = simulate_from_states(states, params, seed=seed)
+        rng = np.random.Generator(np.random.PCG64(seed))
         values = _reference_sample_log_values(states.states, params, rng)
         expected = np.maximum(np.round(np.expm1(values)), 0.0).astype(np.int64)
         assert np.array_equal(series.counts, expected)
+
+    def test_simulate_from_states_matches_reference(self):
+        letters = "S" * 40 + "W" * 25 + "S" * 35
+        self._from_states_matches_reference(letters, self.PARAMS["heavy_rejection"], 3)
+
+    @pytest.mark.parametrize(
+        "letters",
+        ["W" * 30 + "S" * 20 + "W" * 15, "W" + "S" * 5 + "W", "WSWSWSW", "W" * 80, "S" * 80,
+         "W", "S"],
+    )
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_simulate_from_states_edge_paths_match_reference(self, letters, seed):
+        # paths that start and end in wake, one-epoch runs, and one-state paths
+        self._from_states_matches_reference(letters, self.PARAMS["heavy_rejection"], seed)
+
+    def test_bench_scale_stream_identity(self):
+        # the benchmark's length: about 4,600 wake runs and 114,000 sleep epochs
+        params = reference_params()
+        states = _sample_states(params, 200_000, np.random.Generator(np.random.PCG64(5)))
+        got_rng = np.random.Generator(np.random.PCG64(21))
+        want_rng = np.random.Generator(np.random.PCG64(21))
+        got = sample_log_values(states, params, got_rng)
+        want = _reference_sample_log_values(states, params, want_rng)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert got_rng.bit_generator.random_raw() == want_rng.bit_generator.random_raw()
+
+
+def _point_mass_threshold(alpha):
+    """The raw word below which the sampler's sleep epoch is the point mass."""
+    return math.ceil(alpha * 2**53) << 11
+
+
+class TestPointMassThreshold:
+    """``raw < ceil(alpha * 2**53) << 11`` decides as ``random() < alpha`` does."""
+
+    ALPHAS = [ALPHA_MIN, 0.5, 0.731, 0.1 + 0.2, ALPHA_MAX]
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_raw_words_around_the_threshold(self, alpha):
+        # PCG64's double is (raw >> 11) * 2**-53
+        t = _point_mass_threshold(alpha)
+        for raw in (0, t - 2048, t - 1, t, t + 1, 2**64 - 1):
+            assert 0 <= raw < 2**64
+            assert (raw < t) == ((raw >> 11) * 2**-53 < alpha), raw
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_a_million_draws_decide_alike(self, alpha):
+        uniform = np.random.Generator(np.random.PCG64(9)).random(10**6)
+        raw = np.random.PCG64(9).random_raw(10**6)
+        assert np.array_equal(uniform < alpha, raw < _point_mass_threshold(alpha))
 
 
 class TestRefusals:
