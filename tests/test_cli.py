@@ -1335,16 +1335,13 @@ class _ExitCodeInputs:
 
     def __init__(self, sim, monkeypatch):
         self.dir, self.monkeypatch = sim["dir"], monkeypatch
-        self.epochs, self.labels, self.params = (str(sim[k]) for k in ("epochs", "labels", "params"))
+        self.epochs, self.params = str(sim["epochs"]), str(sim["params"])
         self.window, self.out = str(self.dir / "window.txt"), str(self.dir / "out.csv")
         _write_window(Path(self.window), read_epoch_csv(sim["epochs"]), 0, 2000, 0, 1999)
 
     def file(self, name, content):
         path = self.dir / name
-        if isinstance(content, bytes):
-            path.write_bytes(content)
-        else:
-            path.write_text(content)
+        path.write_bytes(content if isinstance(content, bytes) else content.encode())
         return str(path)
 
     def epoch_csv(self, *rows):
