@@ -197,10 +197,10 @@ def _checked_chunks(fh, header: bytes):
 
 # Byte codecs.  A chunk of rows is one uint8 array; a byte minus ord("0")
 # is its digit, and every other byte wraps to above 9.  A codec proves a
-# chunk by finding each row's non-digit bytes to be exactly its separators,
-# each in its place, so a quote, CR, space, tab, blank row, NUL or non-ASCII
-# byte fails it.  numpy's datetime64 parses the proven timestamps and splits
-# the written ones into their fields.
+# chunk by its count of non-digit bytes, so many to a row, and by each row's
+# separators at fixed offsets, which leaves every other byte a digit: a quote,
+# CR, space, tab, blank row, NUL or non-ASCII byte fails it.  numpy's
+# datetime64 parses the proven timestamps and splits the written ones into their fields.
 
 _ZERO = np.uint8(ord("0"))
 _POW10 = 10 ** np.arange(19, dtype=np.int64)  # 1 .. 10**18
@@ -213,13 +213,9 @@ _ONE_SECOND = timedelta(seconds=1)
 # month, day, hour, minute and second.
 _STAMP = b"0000-00-00T00:00:00Z"
 _STAMP_FIELDS = (0, 2, 5, 8, 11, 14, 17)
-# An epoch row's non-digit bytes, and the distance of each from the one
-# before (the first's from the previous newline; 0 for the newline's,
-# which depends on the count).
-_EPOCH_MARKS = _STAMP.replace(b"0", b"") + b",\n"
-_EPOCH_GAPS = np.append(
-    np.diff([-1] + [i for i, b in enumerate(_STAMP + b",") if b != ord("0")]), 0
-)
+# The non-digit bytes of an epoch row before its count, and their offsets in the row.
+_EPOCH_MARKS = np.frombuffer(_STAMP.replace(b"0", b"") + b",", np.uint8)
+_EPOCH_MARK_AT = np.flatnonzero(np.frombuffer(_STAMP + b",", np.uint8) != _ZERO)
 # numpy parses a stamp's bytes before its Z (on a zone suffix it warns), and
 # it reads year 0, which datetime.fromisoformat refuses.
 _STAMP_WITHOUT_Z = np.dtype(("S", len(_STAMP) - 1))
@@ -227,7 +223,7 @@ _YEAR_ONE = np.datetime64("0001-01-01T00:00:00", "s")
 
 
 def _digit_values(digits: np.ndarray, ends: np.ndarray, widths: np.ndarray) -> np.ndarray:
-    """The numbers whose proven digits fill ``digits[ends - widths:ends]``, 1 to 18 of them."""
+    """The numbers whose digits fill ``digits[ends - widths:ends]``, 1 to 18 of them."""
     if widths.min() < 1 or widths.max() > 18:
         raise _Unproven
     at = ends - 1
@@ -238,16 +234,12 @@ def _digit_values(digits: np.ndarray, ends: np.ndarray, widths: np.ndarray) -> n
     return values
 
 
-def _row_marks(a: np.ndarray, digits: np.ndarray, per_row: int):
-    """The non-digit bytes of a chunk, ``per_row`` to a row: their positions,
-    their values and the distance of each from the one before (the first from -1)."""
-    where = np.flatnonzero(digits > 9)
-    if where.size % per_row:
+def _row_bounds(a: np.ndarray, digits: np.ndarray, per_row: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's first byte and newline, if the chunk has ``per_row`` non-digit bytes a row."""
+    ends = np.flatnonzero(a == ord("\n"))
+    if np.count_nonzero(digits > 9) != per_row * ends.size:
         raise _Unproven
-    steps = np.empty_like(where)
-    steps[0] = where[0] + 1
-    np.subtract(where[1:], where[:-1], out=steps[1:])
-    return where.reshape(-1, per_row), a[where].reshape(-1, per_row), steps.reshape(-1, per_row)
+    return np.concatenate(([0], ends[:-1] + 1)), ends
 
 
 def _epoch_rows(chunk: bytes) -> tuple[np.ndarray, np.ndarray]:
@@ -258,13 +250,11 @@ def _epoch_rows(chunk: bytes) -> tuple[np.ndarray, np.ndarray]:
     """
     a = np.frombuffer(chunk, dtype=np.uint8)
     digits = a - _ZERO
-    # Each row's non-digit bytes are its separators, in place, so all other bytes are digits.
-    where, got, steps = _row_marks(a, digits, len(_EPOCH_MARKS))
-    widths = steps[:, -1] - 1  # the count's digits, between the comma and the newline
-    steps[:, -1] = 0
-    if got.tobytes() != _EPOCH_MARKS * len(got) or (steps != _EPOCH_GAPS).any():
+    starts, ends = _row_bounds(a, digits, len(_EPOCH_MARKS) + 1)
+    # The count's width comes first: on a shorter row the separator reads overrun its newline.
+    counts = _digit_values(digits, ends, ends - starts - len(_STAMP) - 1)
+    if (a[starts[:, None] + _EPOCH_MARK_AT] != _EPOCH_MARKS).any():
         raise _Unproven
-    starts = where[:, 0] - _EPOCH_GAPS[0] + 1
     # A view of the stamp at every byte offset; each row's is taken at its start.
     width = _STAMP_WITHOUT_Z.itemsize
     stamps = np.ndarray((a.size - width + 1,), _STAMP_WITHOUT_Z, chunk, strides=(1,))
@@ -274,7 +264,7 @@ def _epoch_rows(chunk: bytes) -> tuple[np.ndarray, np.ndarray]:
         raise _Unproven from None
     if seconds.min() < _YEAR_ONE:
         raise _Unproven
-    return seconds.astype(np.int64), _digit_values(digits, where[:, -1], widths)
+    return seconds.astype(np.int64), counts
 
 
 def read_epoch_csv(path) -> EpochSeries:
@@ -302,20 +292,19 @@ def read_epoch_csv(path) -> EpochSeries:
 def _parse_epoch_csv(path) -> EpochSeries | None:
     """The one-pass reader: the series, or None when the row scan must read the file."""
     counts = array("q")
-    first = step = last = None
+    first = step = None
     try:
         with open(path, "rb") as fh:
             for chunk in _checked_chunks(fh, b"timestamp,count\n"):
                 seconds, values = _epoch_rows(chunk)
-                if first is None:
+                row = len(counts)  # rows read before this chunk; row k is stamped first + k * step
+                if row == 0:
                     first = int(seconds[0])
-                else:  # the last second carried over checks the spacing across chunks
-                    seconds = np.concatenate(([last], seconds))
-                if step is None and seconds.size > 1:
-                    step = int(seconds[1] - seconds[0])
-                if seconds.size > 1 and (seconds[1:] - seconds[:-1] != step).any():
-                    raise _Unproven
-                last = seconds[-1]
+                if row + seconds.size > 1:
+                    if step is None:  # the second row fixes the spacing
+                        step = int(seconds[1 - row]) - first
+                    if (seconds != first + step * np.arange(row, row + seconds.size)).any():
+                        raise _Unproven
                 counts.frombytes(values.tobytes())
         if step is None:
             raise _Unproven
@@ -481,13 +470,13 @@ def _label_rows(chunk: bytes, expected_len: int) -> tuple[np.ndarray, np.ndarray
     """
     a = np.frombuffer(chunk, dtype=np.uint8)
     digits = a - _ZERO
-    # Each row's non-digit bytes are its comma, state and newline, side by side.
-    where, got, steps = _row_marks(a, digits, 3)
-    wake = got[:, 1] == ord("W")
-    got[wake, 1] = ord("S")
-    if got.tobytes() != b",S\n" * len(got) or (steps[:, 1:] != 1).any():
+    starts, ends = _row_bounds(a, digits, 3)
+    # The index's width comes first: on a shorter row the separator reads precede its start.
+    indices = _digit_values(digits, ends - 2, ends - starts - 2)
+    state = a[ends - 1]
+    wake = state == ord("W")
+    if (a[ends - 2] != ord(",")).any() or not (wake | (state == ord("S"))).all():
         raise _Unproven
-    indices = _digit_values(digits, where[:, 0], steps[:, 0] - 1)
     if indices.max() >= expected_len:
         raise _Unproven
     return indices, wake

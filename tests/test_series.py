@@ -1083,12 +1083,13 @@ class TestChunkProof:
         with pytest.raises(series_module._Unproven):
             series_module._epoch_rows(b",\n")
 
-    # Each has a non-digit byte off its place; a third field then a one-field
-    # row even keeps one comma per newline.
+    # Each has a non-digit byte off its place or an empty index; a third field
+    # then a one-field row, and a row of bare separators, even keep three
+    # non-digit bytes per newline.
     @pytest.mark.parametrize(
         "rows",
         [b"0,S,1\nW\n", b"0,S\n\n", b"0,S\n1,W", b"0\n,S\n", b'"0",S\n', b"0,S\r\n",
-         b"0, S\n", b"0,\tS\n", b"0,\xc3\xa9\n", b"0,S\x00\n"],
+         b"0, S\n", b"0,\tS\n", b"0,\xc3\xa9\n", b"0,S\x00\n", b"0,S\n,S\n"],
     )
     def test_unproven(self, rows):
         with pytest.raises(series_module._Unproven):
@@ -1098,12 +1099,16 @@ class TestChunkProof:
         with pytest.raises(series_module._Unproven):
             self._chunks(b"0,S\n1,W")
 
+    # The last two keep eight non-digit bytes per newline: an extra comma in
+    # one row and none in the next, and a short row of bare separators.
     @pytest.mark.parametrize(
         "rows",
         [b'"2012-05-01T21:30:00Z",7\n', b"2012-05-01T21:30:00Z,7\r\n",
          b"2012-05-01T21:30:00Z, 7\n", b"2012-05-01T21:30:00Z,\t7\n",
          b"2012-05-01T21:30:00Z,\xc3\xa97\n", b"2012-05-01T21:30:00Z,7\x00\n",
-         b"2012-05-01 21:30:00Z,7\n", b"2012-05-01T21:30:00\x00,7\n"],
+         b"2012-05-01 21:30:00Z,7\n", b"2012-05-01T21:30:00\x00,7\n",
+         b"2012-05-01T21:30:00Z,7,\n2012-05-01T21:30:30Z77\n",
+         b"2012-05-01T21:30:00Z,7\n--T::Z,\n"],
     )
     def test_epoch_unproven(self, rows):
         with pytest.raises(series_module._Unproven):
